@@ -3,8 +3,16 @@
 The paper measures change propagation with garbage-collection time
 included (Section 4.10) and finds it stays small and grows slowly.  Our
 collector is CPython's reference counting plus the cyclic ``gc`` module;
-we report propagation time with the cyclic collector enabled vs disabled,
-and the collections it performs.
+we report propagation time with the cyclic collector enabled vs disabled.
+
+"GC included" leaves the collector enabled around each timed
+``propagate``, but the engine pauses it for the whole call (DESIGN.md
+Section 3.1, "The GC discipline").  So the column measures propagation
+as its caller sees it.  The collection that the drain's allocations make
+due runs at the first allocation after ``propagate`` returns, outside
+the timed call, in the change-staging code between samples.  Where that
+time lands in an end-to-end op is measured by ``perfbench``'s
+``gc.pause_frac`` and by ``python -m repro profile``'s ``gc`` columns.
 """
 
 import gc

@@ -54,6 +54,7 @@ from repro.sac.exceptions import (
     PropagationBudgetExceeded,
     ReexecutionError,
 )
+from repro.sac.gcpause import gc_paused
 from repro.sac.modifiable import Modifiable
 
 __all__ = [
@@ -294,9 +295,11 @@ class Session:
         # Transactional initial run: a raising program must not leave a
         # half-built trace behind, or later runs on this engine would stack
         # on garbage.  Truncate back to the pre-run checkpoint and re-raise.
+        # The whole trace the run builds survives it, so the cyclic
+        # collector is paused (DESIGN.md Section 3.1).
         checkpoint = self.engine.now
         try:
-            self.output = self.instance.apply(self.input_value)
+            self.output = gc_paused(self.instance.apply)(self.input_value)
         except BaseException:
             self.engine.truncate_after(checkpoint)
             raise

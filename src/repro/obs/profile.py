@@ -2,9 +2,12 @@
 
 ``python -m repro profile <app>`` runs one application end to end --
 compile, input marshalling, initial run, change propagation, readback --
-and reports, per phase, the wall time and the engine meter counters that
-phase consumed.  After the phases it dumps the engine's hot-path
-statistics (:meth:`repro.sac.engine.Engine.hot_stats`): order-maintenance
+and reports, per phase, the wall time, the engine meter counters that
+phase consumed, and CPython's cyclic collector as a layer of its own:
+collections by generation and the seconds they paused the phase,
+recorded through :data:`gc.callbacks`.  After the phases it dumps the
+engine's hot-path statistics
+(:meth:`repro.sac.engine.Engine.hot_stats`): order-maintenance
 structure and relabel counts, dirty-queue pushes/rekeys/peak, and the
 record free-list reuse counts, plus the value intern table's hit/miss
 profile.  With call-site profiling enabled (the default), the propagation
@@ -22,24 +25,32 @@ counts at the cost of that overhead.
 from __future__ import annotations
 
 import cProfile
+import gc
 import pstats
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = ["PhaseProfile", "ProfileReport", "profile_app"]
 
 
 @dataclass
 class PhaseProfile:
-    """One phase of a profiled run: wall time plus meter/event deltas."""
+    """One phase of a profiled run: wall time plus meter/event deltas.
+
+    ``gc_collections`` counts the cyclic collector's collections of
+    generation 0, 1 and 2 that ran inside the phase; ``gc_seconds`` is the
+    wall time they paused it (part of ``seconds``).
+    """
 
     name: str
     seconds: float
     samples: int = 1
     counters: Dict[str, int] = field(default_factory=dict)
     events: Optional[Dict[str, int]] = None
+    gc_collections: Tuple[int, int, int] = (0, 0, 0)
+    gc_seconds: float = 0.0
 
 
 @dataclass
@@ -77,16 +88,19 @@ class ProfileReport:
             f"mode={self.mode}  n={self.n}  "
             f"changes={self.changes}  seed={self.seed}"
         ]
-        header = f"{'phase':<18} {'time (s)':>10} " + " ".join(
-            f"{label:>8}" for _, label in self._COLUMNS
+        header = (
+            f"{'phase':<18} {'time (s)':>10} {'gc (s)':>9} {'gc0/1/2':>11} "
+            + " ".join(f"{label:>8}" for _, label in self._COLUMNS)
         )
         lines += ["", header, "-" * len(header)]
         for phase in self.phases:
             cells = " ".join(
                 f"{phase.counters.get(key, 0):>8}" for key, _ in self._COLUMNS
             )
+            gens = "/".join(str(c) for c in phase.gc_collections)
             lines.append(
-                f"{phase.name:<18} {phase.seconds:>10.5f} {cells}"
+                f"{phase.name:<18} {phase.seconds:>10.5f} "
+                f"{phase.gc_seconds:>9.5f} {gens:>11} {cells}"
             )
         lines.append("")
         for section in ("order", "queue", "pools", "feeds"):
@@ -109,6 +123,23 @@ class ProfileReport:
 
     def __str__(self) -> str:  # pragma: no cover - convenience
         return self.format()
+
+
+class _GcRecorder:
+    """A :data:`gc.callbacks` entry: collections by generation and the
+    seconds they paused, while registered."""
+
+    def __init__(self) -> None:
+        self.collections = [0, 0, 0]
+        self.seconds = 0.0
+        self._started = 0.0
+
+    def __call__(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self._started = time.perf_counter()
+        else:
+            self.seconds += time.perf_counter() - self._started
+            self.collections[info["generation"]] += 1
 
 
 def _top_call_sites(profiler: cProfile.Profile, top: int) -> List[str]:
@@ -155,6 +186,7 @@ def profile_app(
     from repro.backends import resolve_backend
     from repro.core.pipeline import compile_program
     from repro.sac.engine import Engine
+    from repro.sac.gcpause import gc_paused
     from repro.sac.intern import intern_stats
 
     if isinstance(app, str):
@@ -180,13 +212,18 @@ def profile_app(
     def run_phase(name: str, fn, samples: int = 1, profiler=None):
         before = engine.meter.snapshot()
         events_before = log.counts() if log is not None else None
-        if profiler is not None:
-            profiler.enable()
-        start = time.perf_counter()
-        result = fn()
-        seconds = time.perf_counter() - start
-        if profiler is not None:
-            profiler.disable()
+        collector = _GcRecorder()
+        gc.callbacks.append(collector)
+        try:
+            if profiler is not None:
+                profiler.enable()
+            start = time.perf_counter()
+            result = fn()
+            seconds = time.perf_counter() - start
+            if profiler is not None:
+                profiler.disable()
+        finally:
+            gc.callbacks.remove(collector)
         after = engine.meter.snapshot()
         counters = {
             key: after[key] - before.get(key, 0)
@@ -202,7 +239,10 @@ def profile_app(
                 if events_after[key] != events_before.get(key, 0)
             }
         phases.append(
-            PhaseProfile(name, seconds, samples, counters, delta_events)
+            PhaseProfile(
+                name, seconds, samples, counters, delta_events,
+                tuple(collector.collections), collector.seconds,
+            )
         )
         return result
 
@@ -212,7 +252,11 @@ def profile_app(
     input_value, handle = run_phase(
         "input marshal", lambda: app.make_sa_input(engine, data)
     )
-    output = run_phase("initial run", lambda: instance.apply(input_value))
+    # Paused as Session.run pauses it: the run builds a trace that all
+    # survives.
+    output = run_phase(
+        "initial run", gc_paused(lambda: instance.apply(input_value))
+    )
 
     profiler = cProfile.Profile() if callsites else None
 

@@ -36,10 +36,8 @@ propagation heap is rebuilt in pop order against those keys.
 
 from __future__ import annotations
 
-import contextlib
 import os
 import functools
-import gc
 import importlib
 import sys
 import types
@@ -47,6 +45,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.persist.errors import CodecError
 from repro.sac.engine import Engine
+from repro.sac.gcpause import gc_paused
 from repro.sac.intern import INTERN
 from repro.sac.modifiable import UNWRITTEN, Modifiable
 from repro.sac.order import (
@@ -101,23 +100,6 @@ def _import_module(module: str) -> Any:
         return importlib.import_module(module)
     except Exception as exc:
         raise CodecError(f"cannot import module {module!r}: {exc}") from exc
-
-
-@contextlib.contextmanager
-def _gc_paused():
-    """Suspend the cyclic collector during a graph walk.
-
-    Both codec passes allocate hundreds of thousands of objects that all
-    survive; letting the generational collector trigger mid-walk adds
-    full-heap scans for zero reclaimed garbage.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
 
 
 @functools.lru_cache(maxsize=None)
@@ -483,10 +465,10 @@ class _Encoder:
         )
 
 
+@gc_paused
 def encode_graph(root: Any) -> dict:
     """Flatten ``root``'s object graph into a marshal-able table."""
-    with _gc_paused():
-        return _Encoder().encode(root)
+    return _Encoder().encode(root)
 
 
 # ----------------------------------------------------------------------
@@ -998,7 +980,7 @@ def _dead_stamp(key: int, gen: int) -> Stamp:
     return s
 
 
+@gc_paused
 def decode_graph(doc: dict) -> Any:
     """Rebuild the object graph flattened by :func:`encode_graph`."""
-    with _gc_paused():
-        return _Decoder(doc).decode()
+    return _Decoder(doc).decode()

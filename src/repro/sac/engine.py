@@ -43,6 +43,7 @@ from repro.sac.exceptions import (
     SacError,
     UnwrittenModError,
 )
+from repro.sac.gcpause import gc_paused
 from repro.sac.meter import Meter
 from repro.sac.modifiable import UNWRITTEN, Modifiable
 from repro.sac.order import Order, Stamp
@@ -1647,6 +1648,7 @@ class Engine:
                 self.change(mod, value)
         return b.reexecuted
 
+    @gc_paused
     def propagate(
         self,
         *,
@@ -1678,6 +1680,9 @@ class Engine:
         rebuild -- unless the abort cleanup itself fails, in which case
         the engine poisons itself (``consistent=False`` on the error) and
         refuses further work with :class:`EnginePoisonedError`.
+
+        The cyclic collector is paused for the call
+        (:func:`repro.sac.gcpause.gc_paused`), as it is for :meth:`demand`.
         """
         self._check_usable()
         if self._batch_depth:
@@ -1715,6 +1720,7 @@ class Engine:
             self.compact()
         return reexecuted
 
+    @gc_paused
     def demand(
         self,
         mod: Union[Modifiable, Sequence[Modifiable]],

@@ -123,6 +123,8 @@ def test_profile_reports_phases_and_engine_stats(capsys, backend):
     for phase in ("compile", "input marshal", "initial run",
                   "propagate x2", "readback"):
         assert phase in out
+    # ... the cyclic collector as a layer (pause seconds, gen0/1/2) ...
+    assert "gc (s)" in out and "gc0/1/2" in out
     # ... relabel and queue statistics ...
     assert "relabels=" in out
     assert "queue:" in out and "rekeys=" in out and "drained=" in out
