@@ -34,14 +34,21 @@ def test_fig10_vec_reduce_gc(benchmark, capsys):
     def run():
         with_gc = []
         without_gc = []
+        # The tree-walking backend, as in the recorded figure.
         for n in SIZES:
             without_gc.append(
-                measure_app(app, n, prop_samples=12, seed=4, gc_enabled=False)
+                measure_app(
+                    app, n, prop_samples=12, seed=4, gc_enabled=False,
+                    backend="interp",
+                )
             )
             gc.collect()
             counts_before = gc.get_count()
             with_gc.append(
-                measure_app(app, n, prop_samples=12, seed=4, gc_enabled=True)
+                measure_app(
+                    app, n, prop_samples=12, seed=4, gc_enabled=True,
+                    backend="interp",
+                )
             )
         return with_gc, without_gc
 

@@ -33,8 +33,13 @@ def test_fig6_msort_scaling(benchmark, capsys):
     app = REGISTRY["msort"]
 
     def run():
+        # The paper's ratios set the self-adjusting run against the
+        # tree-walking conventional run, so it walks the tree as well.
         rows = [
-            measure_app(app, n, prop_samples=8, seed=1, repeats=3) for n in SIZES
+            measure_app(
+                app, n, prop_samples=8, seed=1, repeats=3, backend="interp"
+            )
+            for n in SIZES
         ]
         compiled = [
             measure_app(

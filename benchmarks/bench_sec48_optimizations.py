@@ -27,9 +27,11 @@ def test_sec48_optimizations(benchmark, capsys):
             unopt_counts = count_primitives(
                 app.compiled(optimize_flag=False).sxml_translated
             )
-            opt = measure_app(app, n, prop_samples=8, seed=6)
+            # The tree-walking backend, as in the recorded ratios.
+            opt = measure_app(app, n, prop_samples=8, seed=6, backend="interp")
             unopt = measure_app(
-                app, n, prop_samples=8, seed=6, optimize_flag=False
+                app, n, prop_samples=8, seed=6, optimize_flag=False,
+                backend="interp",
             )
             rows.append((name, opt_counts, unopt_counts, opt, unopt))
         return rows

@@ -41,9 +41,14 @@ SIZES = [
 def test_table1_summary(benchmark, capsys):
     def run():
         rows = []
+        # Overheads are against the tree-walking conventional run, so the
+        # self-adjusting run walks the tree as well.
         for name, n in SIZES:
             rows.append(
-                measure_app(REGISTRY[name], n, prop_samples=10, seed=0)
+                measure_app(
+                    REGISTRY[name], n, prop_samples=10, seed=0,
+                    backend="interp",
+                )
             )
         return rows
 

@@ -45,7 +45,8 @@ def test_table2_raytracer(benchmark, capsys):
         conv.apply(conv_input)
         conv_time = time.perf_counter() - t0
 
-        sa = Session(program)
+        # Tree-walking, like the conventional run it is compared with.
+        sa = Session(program, backend="interp")
         handle = SceneInput(sa.engine, scene)
         t0 = time.perf_counter()
         out = sa.run(handle.value)

@@ -23,7 +23,8 @@ TOGGLES = ["A", "C", "E", "G"]
 
 
 def _measure(program, scene):
-    sa = Session(program)
+    # The tree-walking backend, as in the recorded table.
+    sa = Session(program, backend="interp")
     handle = SceneInput(sa.engine, scene)
     t0 = time.perf_counter()
     out = sa.run(handle.value)

@@ -19,10 +19,12 @@ Usage::
 The ``verify`` subcommand runs the paper's random-change correctness
 protocol against one of the bundled benchmark applications.
 
-``verify`` and ``trace`` accept ``--backend {interp,compiled,stack}`` to select
-the self-adjusting execution backend: the tree-walking interpreter or the
-closure-compilation backend (README "Backends").  The default comes from
-the ``REPRO_BACKEND`` environment variable (``interp`` if unset).
+``verify``, ``trace``, ``chaos``, ``profile``, ``snapshot save`` and ``serve``
+accept ``--backend {interp,compiled,stack}`` to select the self-adjusting
+execution backend: the tree-walking interpreter, the closure-compilation
+backend or the flat stack machine (README "Backends").  Without the flag
+the backend comes from the ``REPRO_BACKEND`` environment variable, else it
+is ``stack``.
 
 The ``trace`` subcommand runs an application under full observability:
 it records the structured engine event stream, validates the trace
@@ -433,8 +435,8 @@ def main(argv=None) -> int:
     p_verify.add_argument(
         "--backend", choices=list(BACKENDS), default=None,
         help="self-adjusting execution backend: the tree-walking "
-             "interpreter or the closure-compilation backend "
-             "(default: $REPRO_BACKEND, else interp)",
+             "interpreter, the closure-compilation backend or the flat "
+             "stack machine (default: $REPRO_BACKEND, else stack)",
     )
     p_verify.add_argument(
         "--batch", type=int, default=1,
@@ -473,7 +475,7 @@ def main(argv=None) -> int:
     p_trace.add_argument(
         "--backend", choices=list(BACKENDS), default=None,
         help="self-adjusting execution backend (default: $REPRO_BACKEND, "
-             "else interp); both emit identical traces and events",
+             "else stack); all three emit identical traces and events",
     )
     p_trace.set_defaults(fn=_cmd_trace)
 
@@ -500,7 +502,7 @@ def main(argv=None) -> int:
     p_chaos.add_argument(
         "--backend", choices=list(BACKENDS), default=None,
         help="self-adjusting execution backend (default: $REPRO_BACKEND, "
-             "else interp)",
+             "else stack)",
     )
     p_chaos.add_argument(
         "--propagation", choices=["eager", "lazy"], default="eager",
@@ -529,7 +531,7 @@ def main(argv=None) -> int:
     p_profile.add_argument(
         "--backend", choices=list(BACKENDS), default=None,
         help="self-adjusting execution backend (default: $REPRO_BACKEND, "
-             "else interp)",
+             "else stack)",
     )
     p_profile.add_argument(
         "--mode", choices=["eager", "lazy"], default="eager",
@@ -557,7 +559,7 @@ def main(argv=None) -> int:
     p_snap_save.add_argument(
         "--backend", choices=list(BACKENDS), default=None,
         help="self-adjusting execution backend (default: $REPRO_BACKEND, "
-             "else interp)",
+             "else stack)",
     )
     p_snap_save.add_argument("--mode", choices=["eager", "lazy"],
                              default="eager")
@@ -597,7 +599,8 @@ def main(argv=None) -> int:
     p_serve.add_argument("--mode", choices=["eager", "lazy"], default="lazy",
                          help="default propagation mode for opened documents")
     p_serve.add_argument("--backend", default=None,
-                         help="engine backend (default: $REPRO_BACKEND/interp)")
+                         help="engine backend (default: $REPRO_BACKEND, "
+                              "else stack)")
     p_serve.add_argument("--slice-budget", type=int, default=256,
                          help="re-executions per fair-scheduling slice")
     p_serve.add_argument("--on-error",

@@ -23,7 +23,9 @@ single entry point::
 
 Backend selection happens in exactly one place,
 :func:`repro.backends.resolve_backend`, with precedence *explicit
-``backend=`` argument > ``$REPRO_BACKEND`` > ``"interp"``*.
+``backend=`` argument > ``$REPRO_BACKEND`` > ``"stack"``*: unless told
+otherwise, sessions re-execute through the flat stack machine, and the
+tree-walking ``"interp"`` is the reference it is checked against.
 
 The edit convention, uniform across the API: an edit entry point
 (:meth:`Session.edit`, ``ModList.insert/set/remove``, the marshalled input
@@ -145,7 +147,7 @@ class Session:
       defaults).
 
     ``backend`` resolves through :func:`repro.backends.resolve_backend`
-    (explicit argument > ``$REPRO_BACKEND`` > ``"interp"``).  ``engine``
+    (explicit argument > ``$REPRO_BACKEND`` > ``"stack"``).  ``engine``
     lets several sessions share one engine (or supply a pre-instrumented
     one); ``hook`` attaches an observability hook
     (:class:`repro.obs.events.TraceHook`) before anything runs.
@@ -931,9 +933,10 @@ def verify_app(
     """Run the Section 4.3 random-change verification for one application.
 
     ``app`` is an :class:`repro.apps.base.App` or a registry name.
-    ``backend`` resolves via :func:`resolve_backend`.  ``batch`` > 1
-    coalesces that many random changes per propagation through
-    :meth:`Session.batch` (the output is re-verified after each batch).
+    ``backend`` resolves via :func:`resolve_backend` (default ``"stack"``).
+    ``batch`` > 1 coalesces that many random changes per propagation
+    through :meth:`Session.batch` (the output is re-verified after each
+    batch).
     ``mode="lazy"`` updates via :meth:`Session.demand` after each change
     instead of a full propagation; combined with ``batch`` > 1 the batch
     scope stages the edits and the following demand drains them all in
@@ -1050,7 +1053,9 @@ def oracle_app(
     :class:`repro.obs.invariants.InvariantChecker` rides along.
     ``mode="lazy"`` replaces each eager propagation with a demand of the
     full output (:meth:`Session.demand`), exercising the dirty-marking /
-    demand-walk discipline against the same oracle.
+    demand-walk discipline against the same oracle.  ``backend`` resolves
+    via :func:`resolve_backend` (default ``"stack"``); the fresh sessions
+    run on the same backend as the incremental one.
     """
     app = _resolve_app(app)
     rng = random.Random(seed)
@@ -1147,6 +1152,10 @@ def measure_app(
     ``batch`` > 1 applies that many random changes per propagation (one
     coalesced pass each), so ``avg_prop`` becomes average time per
     *batch*; ``prop_samples`` still counts individual changes.
+    ``backend`` resolves via :func:`resolve_backend` (default ``"stack"``);
+    the conventional run always walks the tree, so the paper's
+    overhead ratios compare like with like only under
+    ``backend="interp"``.
     """
     from repro.bench.runner import BenchRow, _phase, _timed
 

@@ -66,8 +66,9 @@ class App:
     ):
         """Compile (cached) and create a runnable self-adjusting instance.
 
-        ``backend`` selects the execution backend (``"interp"`` or
-        ``"compiled"``; ``None`` defers to ``REPRO_BACKEND``/default).
+        ``backend`` selects the execution backend (one of
+        :data:`repro.backends.BACKENDS`; ``None`` defers to
+        ``$REPRO_BACKEND``, else the default ``"stack"``).
         """
         program = self.compiled(
             memoize=memoize, optimize_flag=optimize_flag, coarse=coarse

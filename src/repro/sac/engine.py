@@ -2299,11 +2299,14 @@ class Engine:
         if isinstance(exc, RecursionError):
             return RecursionReexecutionError(
                 f"re-execution of {edge!r} overflowed the interpreter "
-                f"stack; the interp/compiled backends nest one Python "
-                f"frame per traced cell, so deep inputs need the "
-                f'recursion-free backend="stack", a recursion limit above '
-                f"the current {self.recursion_limit} (set "
-                f"REPRO_RECURSION_LIMIT), or a smaller input",
+                f"stack; this session was explicitly put on the "
+                f"interp/compiled backend (backend=, --backend or "
+                f"$REPRO_BACKEND), which nests one Python frame per "
+                f"traced cell. Deep inputs need the default, "
+                f'recursion-free backend="stack" (drop the explicit '
+                f"choice), a recursion limit above the current "
+                f"{self.recursion_limit} (set REPRO_RECURSION_LIMIT), or a "
+                f"smaller input",
                 edge=edge,
                 original=exc,
                 consistent=consistent,

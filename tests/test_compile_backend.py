@@ -54,14 +54,14 @@ def test_convalue_nested_hash():
 
 def test_resolve_backend_precedence(monkeypatch):
     monkeypatch.delenv("REPRO_BACKEND", raising=False)
-    assert resolve_backend() == "interp"
+    assert resolve_backend() == "stack"
     monkeypatch.setenv("REPRO_BACKEND", "compiled")
     assert resolve_backend() == "compiled"
     # An explicit request beats the environment ...
     assert resolve_backend("interp") == "interp"
     # ... and an empty variable counts as unset.
     monkeypatch.setenv("REPRO_BACKEND", "")
-    assert resolve_backend() == "interp"
+    assert resolve_backend() == "stack"
     assert set(BACKENDS) == {"interp", "compiled", "stack"}
 
 

@@ -474,6 +474,42 @@ def test_pool_warm_restart_recovers_checkpointed_state(tmp_path, mode):
     asyncio.run(main())
 
 
+def test_pool_default_backend_restores_interp_checkpoints(tmp_path, monkeypatch):
+    """Checkpoints written by a pool on ``backend="interp"`` reopen warm
+    under a default ``SessionPool()``: a snapshot names its own backend,
+    so the documents come back on ``interp`` with no cold rebuild, while
+    a new document lands on the default ``stack``."""
+    monkeypatch.delenv("REPRO_BACKEND", raising=False)
+
+    async def main():
+        pool = SessionPool(backend="interp", checkpoint_dir=str(tmp_path))
+        before = {}
+        for name, seed in (("a", 3), ("b", 4)):
+            info = pool.open(name, app="vec-reduce", n=16, seed=seed)
+            assert info["backend"] == "interp"
+            await pool.edit(name, "cell:2", 41.5 + seed)
+            before[name] = (await pool.demand(name))["value"]
+        await pool.stop()
+
+        reborn = SessionPool(checkpoint_dir=str(tmp_path))
+        for name in ("a", "b"):
+            info = reborn.open(name, app="vec-reduce")
+            assert info["recovered"] is True
+            assert info["backend"] == "interp"
+            got = await reborn.demand(name)
+            assert values_close(got["value"], before[name])
+            assert values_close(got["value"], _expected(reborn, name))
+        assert reborn.snapshot_failures == 0
+        await reborn.edit("a", "cell:0", 7.0)
+        got = await reborn.demand("a")
+        assert values_close(got["value"], _expected(reborn, "a"))
+        info = reborn.open("c", app="vec-reduce", n=8, seed=1)
+        assert info["backend"] == "stack"
+        await reborn.stop()
+
+    asyncio.run(main())
+
+
 def test_pool_replays_journal_suffix_after_simulated_kill(tmp_path):
     """A pool abandoned without stop() (the SIGKILL stand-in: every append
     was fsync'd, no final checkpoint ran) loses zero acknowledged edits:

@@ -102,7 +102,7 @@ def test_session_backend_explicit_beats_env(monkeypatch):
     assert Session("map", backend="interp").backend == "interp"
     assert Session("map").backend == "compiled"
     monkeypatch.delenv("REPRO_BACKEND")
-    assert Session("map").backend == "interp"
+    assert Session("map").backend == "stack"
 
 
 def test_session_backends_agree():
