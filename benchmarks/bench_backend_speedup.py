@@ -1,18 +1,15 @@
-"""Backend speedup: the compiled backends vs the interpreter.
+"""Backend speedup: the stack machine vs the interpreter.
 
-All three backends drive the *same* engine through the same primitive
-sequence (the differential test suite asserts meter-exact equivalence),
-so any timing difference is pure dispatch cost: AST ``isinstance``
-ladders and ``Env`` dict chains on the interpreter side, vs staged
-closures and slot-indexed frames (``compiled``), vs flat instruction
-sequences under an explicit control stack (``stack``).
+Both backends drive the *same* engine through the same primitive sequence
+(the differential test suite asserts meter-exact equivalence), so any
+timing difference is pure dispatch cost: AST ``isinstance`` ladders and
+``Env`` dict chains on the interpreter side, vs flat instruction
+sequences over slot-indexed frames under an explicit control stack
+(``stack``).
 
-Claims checked at the default sizes: the compiled backend's initial
-msort run is at least 1.4x faster at n=64 and neither compiled backend's
-change propagation is ever slower than the interpreter's.  (The stack
-backend's instruction dispatch avoids the recursive backends' Python
-call/return churn entirely, and on this workload it edges out even the
-closure backend on both run and propagation; its headline feature --
+Claims checked at the default sizes: the stack backend's initial msort
+run is at least 1.4x faster at n=64 and its change propagation is never
+slower than the interpreter's.  (Its other headline feature --
 recursion-free deep workloads -- is measured by
 ``bench_deep_recursion.py``.)
 ``REPRO_BACKEND_SIZES`` overrides the sizes (e.g. "32 64" for a CI smoke
@@ -88,7 +85,7 @@ def test_backend_speedup_msort(benchmark, capsys):
             min(i) / min(c) for i, c in zip(interp_props, props)
         ]
     text = format_series(
-        "Backend speedup: msort, interp vs compiled vs stack", SIZES, series
+        "Backend speedup: msort, interp vs stack", SIZES, series
     )
 
     spread_rows = {}
@@ -101,9 +98,9 @@ def test_backend_speedup_msort(benchmark, capsys):
 
     if not _SMOKE:
         at64 = SIZES.index(64)
-        assert series["compiled run speedup"][at64] >= 1.4, (
-            "compiled backend lost its initial-run edge at n=64: "
-            f"{series['compiled run speedup'][at64]:.2f}x"
+        assert series["stack run speedup"][at64] >= 1.4, (
+            "stack backend lost its initial-run edge at n=64: "
+            f"{series['stack run speedup'][at64]:.2f}x"
         )
         for backend in BACKENDS:
             if backend == "interp":

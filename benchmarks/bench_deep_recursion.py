@@ -1,9 +1,9 @@
 """Depth sweep: the stack backend vs the interpreter on deep cons chains.
 
-The recursive backends (interp, compiled) nest several Python frames per
-list cell, so chain depth is capped by the process recursion limit --
-``Engine`` raises it to 600k, which buys roughly 10^5 frames of headroom
-and still overflows on a 10^5-element chain.  The stack backend runs the
+The interpreter backend recurses in the host, nesting several Python
+frames per list cell, so chain depth is capped by the process recursion
+limit -- ``Engine`` raises it to 600k, which buys roughly 10^5 frames of
+headroom and still overflows on a 10^5-element chain.  The stack backend runs the
 same program under an explicit control stack: here it is measured with
 the recursion limit *clamped to CPython's default of 1000* to demonstrate
 that its depth is genuinely bounded, not just deferred.

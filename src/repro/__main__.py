@@ -20,9 +20,9 @@ The ``verify`` subcommand runs the paper's random-change correctness
 protocol against one of the bundled benchmark applications.
 
 ``verify``, ``trace``, ``chaos``, ``profile``, ``snapshot save`` and ``serve``
-accept ``--backend {interp,compiled,stack}`` to select the self-adjusting
-execution backend: the tree-walking interpreter, the closure-compilation
-backend or the flat stack machine (README "Backends").  Without the flag
+accept ``--backend {interp,stack}`` to select the self-adjusting
+execution backend: the tree-walking interpreter or the flat stack machine
+(README "Backends").  Without the flag
 the backend comes from the ``REPRO_BACKEND`` environment variable, else it
 is ``stack``.
 
@@ -435,8 +435,8 @@ def main(argv=None) -> int:
     p_verify.add_argument(
         "--backend", choices=list(BACKENDS), default=None,
         help="self-adjusting execution backend: the tree-walking "
-             "interpreter, the closure-compilation backend or the flat "
-             "stack machine (default: $REPRO_BACKEND, else stack)",
+             "interpreter or the flat stack machine (default: "
+             "$REPRO_BACKEND, else stack)",
     )
     p_verify.add_argument(
         "--batch", type=int, default=1,
@@ -475,7 +475,7 @@ def main(argv=None) -> int:
     p_trace.add_argument(
         "--backend", choices=list(BACKENDS), default=None,
         help="self-adjusting execution backend (default: $REPRO_BACKEND, "
-             "else stack); all three emit identical traces and events",
+             "else stack); both emit identical traces and events",
     )
     p_trace.set_defaults(fn=_cmd_trace)
 

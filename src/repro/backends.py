@@ -11,15 +11,14 @@ Precedence, highest first:
 
 1. an explicit request (``backend=`` keyword / ``--backend`` flag);
 2. the ``REPRO_BACKEND`` environment variable (CI runs the whole suite
-   again under ``REPRO_BACKEND=compiled`` and ``REPRO_BACKEND=interp``;
-   an empty value counts as unset);
+   again under ``REPRO_BACKEND=interp``; an empty value counts as unset);
 3. the default, ``"stack"``.
 
 The default is the flat stack machine: it does the same engine work as
-the other two (``tests/test_backends_differential.py`` holds all three
-meter-exact) with less dispatch per re-execution, and it is the only one
-that survives deep inputs.  ``"interp"`` stays as the readable,
-paper-shaped reference the others are checked against.
+the interpreter (``tests/test_backends_differential.py`` holds the two
+meter-exact) with less dispatch per re-execution, and it survives deep
+inputs.  ``"interp"`` stays as the readable, paper-shaped reference the
+stack machine is checked against.
 """
 
 from __future__ import annotations
@@ -28,12 +27,11 @@ import os
 from typing import Optional
 
 #: The self-adjusting execution backends (README "Backends"): ``interp``
-#: walks the translated SXML; ``compiled`` stages it into Python closures
-#: (:mod:`repro.compile`) for zero-dispatch execution; ``stack`` (the
-#: default) flattens it into instruction sequences driven by an explicit
-#: control stack (:mod:`repro.compile.stackmachine`) for zero-recursion
+#: walks the translated SXML; ``stack`` (the default) flattens it into
+#: instruction sequences driven by an explicit control stack
+#: (:mod:`repro.compile.stackmachine`) for low-dispatch, zero-recursion
 #: execution of deep workloads.
-BACKENDS = ("interp", "compiled", "stack")
+BACKENDS = ("interp", "stack")
 
 #: Environment variable consulted when no explicit backend is requested.
 BACKEND_ENV_VAR = "REPRO_BACKEND"

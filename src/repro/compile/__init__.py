@@ -1,11 +1,12 @@
-"""The closure-compilation backend (``backend="compiled"``).
+"""The stack-machine backend (``backend="stack"``, the default).
 
-Stages translated SXML into nested Python closures with slot-indexed
-frames, eliminating per-step AST dispatch and environment-chain lookups
-from runtime execution.  See :mod:`repro.compile.closures` for the staging
-pass and README "Backends" for how to select it.
+Flattens translated SXML into instruction sequences driven by an explicit
+control stack (:mod:`repro.compile.stackmachine`); pure straight-line
+segments are staged into slot-indexed Python closures by
+:mod:`repro.compile.closures`.  See README "Backends" for how to select a
+backend.
 """
 
-from repro.compile.closures import CompClosure, CompiledSelfAdjusting
+from repro.compile.stackmachine import StackClosure, StackReader, StackSelfAdjusting
 
-__all__ = ["CompClosure", "CompiledSelfAdjusting"]
+__all__ = ["StackClosure", "StackReader", "StackSelfAdjusting"]

@@ -1,16 +1,9 @@
-"""Staging translated SXML into nested Python closures.
+"""Frame layout and atom/primitive staging for the stack machine.
 
-The self-adjusting interpreter (:mod:`repro.interp.selfadjusting`) pays an
-``isinstance`` dispatch ladder per AST node and a dict-chain ``Env.lookup``
-per variable on *every* execution -- during the initial run and again every
-time change propagation re-executes a reader.  The paper's pipeline avoids
-this entirely by compiling to native code through MLton (Section 3.5); the
-closest we can get on CPython is *staging*: a one-time pass over the
-translated SXML that resolves all dispatch and all variable references at
-compile time and leaves behind a tree of small Python closures whose
-execution does no AST inspection at all.
-
-Representation choices:
+The stack machine (:mod:`repro.compile.stackmachine`) flattens control
+flow and engine boundaries into instructions, but keeps pure straight-line
+``let`` segments as fused Python closures.  This module stages the pieces
+of those segments once, at compile time:
 
 * **Frames instead of environments.**  Each *frame unit* -- a ``BLam``
   body, a ``CRead`` reader body, or the top-level program body -- gets a
@@ -23,72 +16,28 @@ Representation choices:
   compile time to how many static links to follow and which slot to index;
   the emitted accessor for the common depths is a single list index
   (``f[s]``, ``f[0][s]``, ``f[0][0][s]``) -- no hashing, no chain walk.
-* **Case dispatch becomes a dict.**  ``BCase``/``CCase`` clause lists
-  compile to ``tag -> (binder_slot, compiled_body)`` dicts and
-  ``BCaseConst``/``CCaseConst`` arms to ``(type, value) -> compiled_body``
-  dicts (type-sensitive, matching the interpreter's arm scan).
-* **Reader closures capture frame + destination.**  A ``CRead`` compiles
-  to code that hands the engine a ``reader(value)`` closure allocating a
-  *fresh* frame per (re-)execution, so re-executed readers can never
-  clobber bindings that closures from an earlier execution still see --
-  the same discipline as the interpreter's fresh ``Env`` child per reader.
+* **Primitives become direct operator closures** with the interpreter's
+  error behaviour (division by zero, negative ``sqrt``); the rest fall
+  back to :func:`repro.interp.builtins.eval_prim`.
 
-The engine API (``mod``/``read``/``write``/``memo``/``impwrite``) is
-called in exactly the same sequence, with equal memo keys and equal
-written values, as the interpreting backend produces -- so traces, meter
-counts, and observability hooks are unchanged.  ``tests/
-test_backends_differential.py`` asserts this meter-exact equivalence over
-every registered application.
-
-Exception transparency: like the interpreter, the emitted closures contain
-no exception handlers -- a raise inside user code (builtin failure,
-``MatchFailure``, ``RecursionError``, planted fault) reaches the engine's
-transactional re-execution wrapper unmangled (DESIGN.md Section 7), so
-both backends share one failure model.
+The module keeps its path for durability: the snapshot codec stores each
+staged lambda's code with its ``__module__`` and rebinds its globals by
+importing that module at decode time.  Checkpoints written since the stack
+machine became the default hold lambdas from here whose code reads the
+module globals ``math``, ``eval_prim`` and ``LmlRuntimeError``; those
+names must stay importable from this module.
 """
 
 from __future__ import annotations
 
 import math
-from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.core import sxml as S
-from repro.interp.builtins import BUILTIN_IMPLS, BuiltinFn, eval_prim
-from repro.interp.values import ConValue, LmlRuntimeError, MatchFailure, intern_con
-from repro.sac.api import memo_key
-from repro.sac.engine import Engine
-from repro.sac.modifiable import Modifiable
+from repro.interp.builtins import BUILTIN_IMPLS, eval_prim
+from repro.interp.values import LmlRuntimeError
 
-__all__ = ["CompClosure", "CompiledSelfAdjusting"]
-
-
-class CompClosure:
-    """A compiled function value: staged entry code plus its defining frame.
-
-    Calling convention: ``value = clo.enter(clo.frame, arg)``.  ``enter``
-    allocates the callee frame (static link = the defining frame), stores
-    the argument in the parameter slot, and runs the staged body.
-
-    Memoization keys by identity, exactly like the interpreter's
-    :class:`repro.interp.values.Closure`, so compiler-inserted ``BMemoApp``
-    hits and misses line up one-for-one across backends.
-    """
-
-    __slots__ = ("enter", "frame", "name")
-
-    def __init__(self, enter: Callable, frame: list, name: str = "") -> None:
-        self.enter = enter
-        self.frame = frame
-        self.name = name
-
-    def memo_key(self) -> Any:
-        # Identity key; the closure is its own key (default object hash/eq),
-        # saving a wrapper allocation per memo lookup.
-        return self
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<compiled closure {self.name or 'fn'}>"
+__all__ = ["atom", "local_slot", "prim"]
 
 
 class _Unit:
@@ -96,7 +45,7 @@ class _Unit:
 
     Slot 0 is reserved for the static link; :meth:`alloc` hands out the
     local slots.  The final ``size`` is read only after the whole unit has
-    been compiled (closure-creation code captures it as a default arg).
+    been compiled.
     """
 
     __slots__ = ("size",)
@@ -142,653 +91,117 @@ class _Scope:
         raise LmlRuntimeError(f"unbound variable at compile time: {name}")
 
 
-def _seq_value(steps: list, tail: Callable) -> Callable:
-    """Fuse a straight-line ``let`` chain into one stepping function.
+def local_slot(a: S.Atom, sc: _Scope) -> Optional[int]:
+    """Slot index if ``a`` is a local (depth-0) variable, else None.
 
-    Each step is ``(slot, bind_fn)``; the tail produces the value.  Small
-    chains get unrolled variants so the common bodies cost one Python
-    frame, not one per ``let``.
+    Hot consumers use this to index the frame directly instead of calling
+    an accessor closure.
     """
-    if not steps:
-        return tail
-    if len(steps) == 1:
-        (s1, b1), = steps
-
-        def run1(f):
-            f[s1] = b1(f)
-            return tail(f)
-
-        return run1
-    if len(steps) == 2:
-        (s1, b1), (s2, b2) = steps
-
-        def run2(f):
-            f[s1] = b1(f)
-            f[s2] = b2(f)
-            return tail(f)
-
-        return run2
-    if len(steps) == 3:
-        (s1, b1), (s2, b2), (s3, b3) = steps
-
-        def run3(f):
-            f[s1] = b1(f)
-            f[s2] = b2(f)
-            f[s3] = b3(f)
-            return tail(f)
-
-        return run3
-    steps_t = tuple(steps)
-
-    def run(f):
-        for s, bf in steps_t:
-            f[s] = bf(f)
-        return tail(f)
-
-    return run
-
-
-def _seq_dest(steps: list, tail: Callable) -> Callable:
-    """Changeable-mode counterpart of :func:`_seq_value`.
-
-    Steps with slot ``None`` are effect-only (``impwrite``); the tail runs
-    with the frame and the ambient destination.
-    """
-    if not steps:
-        return tail
-    if len(steps) == 1 and steps[0][0] is not None:
-        s1, b1 = steps[0]
-
-        def run1(f, dest):
-            f[s1] = b1(f)
-            tail(f, dest)
-
-        return run1
-    if (
-        len(steps) == 2
-        and steps[0][0] is not None
-        and steps[1][0] is not None
-    ):
-        (s1, b1), (s2, b2) = steps
-
-        def run2(f, dest):
-            f[s1] = b1(f)
-            f[s2] = b2(f)
-            tail(f, dest)
-
-        return run2
-    steps_t = tuple(steps)
-
-    def run(f, dest):
-        for s, bf in steps_t:
-            if s is None:
-                bf(f)
-            else:
-                f[s] = bf(f)
-        tail(f, dest)
-
-    return run
-
-
-class _Stager:
-    """The one-time staging pass: SXML in, closure tree out."""
-
-    def __init__(self, engine: Engine, rt: "CompiledSelfAdjusting") -> None:
-        self.engine = engine
-        self.rt = rt
-
-    # ------------------------------------------------------------------
-    # Atoms
-
-    def _local_slot(self, a: S.Atom, sc: _Scope) -> Optional[int]:
-        """Slot index if ``a`` is a local (depth-0) variable, else None.
-
-        Hot consumers use this to index the frame directly instead of
-        calling an accessor closure.
-        """
-        if type(a) is S.AVar and not a.is_builtin:
-            depth, slot = sc.resolve(a.name)
-            if depth == 0:
-                return slot
-        return None
-
-    def atom(self, a: S.Atom, sc: _Scope) -> Callable:
-        if type(a) is S.AVar:
-            if a.is_builtin:
-                builtin = BUILTIN_IMPLS[a.name]
-                return lambda f, _v=builtin: _v
-            depth, slot = sc.resolve(a.name)
-            if depth == 0:
-                return lambda f, _s=slot: f[_s]
-            if depth == 1:
-                return lambda f, _s=slot: f[0][_s]
-            if depth == 2:
-                return lambda f, _s=slot: f[0][0][_s]
-
-            def deep(f, _d=depth, _s=slot):
-                for _ in range(_d):
-                    f = f[0]
-                return f[_s]
-
-            return deep
-        value = a.value
-        return lambda f, _v=value: _v
-
-    # ------------------------------------------------------------------
-    # Stable expressions
-
-    def expr(self, e: S.Expr, sc: _Scope) -> Callable:
-        steps: list = []
-        while True:
-            t = type(e)
-            if t is S.ELet:
-                bind_fn = self.bind(e.bind, sc)
-                steps.append((sc.bind(e.name), bind_fn))
-                e = e.body
-            elif t is S.ELetRec:
-                # Allocate every slot first: the lambda bodies may refer to
-                # any of the mutually recursive names.
-                slots = [sc.bind(name) for name, _ in e.bindings]
-                for slot, (name, lam) in zip(slots, e.bindings):
-                    steps.append((slot, self.lam(lam, sc, name=name)))
-                e = e.body
-            elif t is S.ERet:
-                return _seq_value(steps, self.atom(e.atom, sc))
-            else:
-                raise AssertionError(f"unknown expr {e!r}")
-
-    # ------------------------------------------------------------------
-    # Bindable computations
-
-    def bind(self, b: S.Bind, sc: _Scope) -> Callable:
-        t = type(b)
-        if t is S.BAtom:
-            return self.atom(b.atom, sc)
-        if t is S.BPrim:
-            return self.prim(b, sc)
-        if t is S.BApp:
-            gf = self.atom(b.fn, sc)
-            ga = self.atom(b.arg, sc)
-            rt_apply = self.rt.apply
-
-            def app(f):
-                fn = gf(f)
-                if type(fn) is CompClosure:
-                    return fn.enter(fn.frame, ga(f))
-                return rt_apply(fn, ga(f))
-
-            return app
-        if t is S.BMemoApp:
-            gf = self.atom(b.fn, sc)
-            ga = self.atom(b.arg, sc)
-            engine_memo = self.engine.memo
-            rt_apply = self.rt.apply
-
-            def memoapp(f):
-                # The common memo_key cases are inlined (closure function;
-                # modifiable / constructor / scalar argument).  Each inline
-                # key equals what generic ``memo_key`` would build, so memo
-                # hits and misses match the interpreting backend exactly.
-                fn = gf(f)
-                kf = fn if type(fn) is CompClosure else memo_key(fn)
-                arg = ga(f)
-                ta = type(arg)
-                if ta is Modifiable or ta is int or ta is str or ta is bool:
-                    ka = arg
-                elif ta is ConValue:
-                    ka = arg.memo_key()
-                else:
-                    ka = memo_key(arg)
-                return engine_memo((kf, ka), partial(rt_apply, fn, arg))
-
-            return memoapp
-        if t is S.BTuple:
-            getters = [self.atom(a, sc) for a in b.items]
-            if len(getters) == 2:
-                g1, g2 = getters
-                return lambda f: (g1(f), g2(f))
-            if len(getters) == 3:
-                g1, g2, g3 = getters
-                return lambda f: (g1(f), g2(f), g3(f))
-            getters_t = tuple(getters)
-            return lambda f: tuple(g(f) for g in getters_t)
-        if t is S.BProj:
-            g = self.atom(b.arg, sc)
-            index = b.index - 1
-            return lambda f: g(f)[index]
-        if t is S.BCon:
-            tag = b.tag
-            if b.args:
-                g = self.atom(b.args[0], sc)
-                return lambda f: intern_con(tag, g(f))
-            # Nullary constructors are canonical singletons via the intern
-            # table (shared with the interpreting backend).
-            nullary = intern_con(tag)
-            return lambda f: nullary
-        if t is S.BLam:
-            return self.lam(b, sc)
-        if t is S.BIf:
-            gcond = self.atom(b.cond, sc)
-            then = self.expr(b.then, sc)
-            els = self.expr(b.els, sc)
-
-            def bif(f):
-                if gcond(f):
-                    return then(f)
-                return els(f)
-
-            return bif
-        if t is S.BCase:
-            gscrut = self.atom(b.scrut, sc)
-            table: dict = {}
-            for clause in b.clauses:
-                slot = sc.bind(clause.binder) if clause.binder is not None else None
-                table.setdefault(clause.tag, (slot, self.expr(clause.body, sc)))
-            default = self.expr(b.default, sc) if b.default is not None else None
-
-            def bcase(f):
-                scrut = gscrut(f)
-                ent = table.get(scrut.tag)
-                if ent is not None:
-                    slot, body = ent
-                    if slot is not None:
-                        f[slot] = scrut.arg
-                    return body(f)
-                if default is not None:
-                    return default(f)
-                raise MatchFailure(f"no clause for {scrut.tag}")
-
-            return bcase
-        if t is S.BCaseConst:
-            gscrut = self.atom(b.scrut, sc)
-            arms: dict = {}
-            for value, body in b.arms:
-                arms.setdefault((type(value), value), self.expr(body, sc))
-            default = self.expr(b.default, sc) if b.default is not None else None
-
-            def bcaseconst(f):
-                scrut = gscrut(f)
-                body = arms.get((type(scrut), scrut))
-                if body is not None:
-                    return body(f)
-                if default is not None:
-                    return default(f)
-                raise MatchFailure(f"no arm for {scrut!r}")
-
-            return bcaseconst
-        if t is S.BMod:
-            cbody = self.cexpr(b.body, sc)
-            engine_mod = self.engine.mod
-
-            def bmod(f):
-                return engine_mod(partial(cbody, f))
-
-            return bmod
-        if t is S.BAssign:
-            gref = self.atom(b.ref, sc)
-            gval = self.atom(b.value, sc)
-            impwrite = self.engine.impwrite
-
-            def bassign(f):
-                cell = gref(f)
-                if not isinstance(cell, Modifiable):
-                    raise LmlRuntimeError("assignment to a non-modifiable")
-                impwrite(cell, gval(f))
-                return ()
-
-            return bassign
-        if t is S.BAscribe:
-            return self.atom(b.atom, sc)
-        if t is S.BMatchFail:
-
-            def bmatchfail(f):
-                raise MatchFailure("inexhaustive match")
-
-            return bmatchfail
-        # BRef / BDeref never survive translation (they become mod/aliases).
-        raise AssertionError(f"unexpected bind in translated code: {b!r}")
-
-    def prim(self, b: S.BPrim, sc: _Scope) -> Callable:
-        getters = [self.atom(a, sc) for a in b.args]
-        op = b.op
-        if len(getters) == 2:
-            g1, g2 = getters
-            if op == "+" or op == "^":
-                return lambda f: g1(f) + g2(f)
-            if op == "-":
-                return lambda f: g1(f) - g2(f)
-            if op == "*":
-                return lambda f: g1(f) * g2(f)
-            if op == "<":
-                return lambda f: g1(f) < g2(f)
-            if op == "<=":
-                return lambda f: g1(f) <= g2(f)
-            if op == ">":
-                return lambda f: g1(f) > g2(f)
-            if op == ">=":
-                return lambda f: g1(f) >= g2(f)
-            if op == "=":
-                return lambda f: g1(f) == g2(f)
-            if op == "<>":
-                return lambda f: g1(f) != g2(f)
-            if op == "/":
-
-                def fdiv(f):
-                    x = g1(f)
-                    y = g2(f)
-                    if y == 0.0:
-                        raise LmlRuntimeError("division by zero")
-                    return x / y
-
-                return fdiv
-            if op == "div":
-
-                def idiv(f):
-                    x = g1(f)
-                    y = g2(f)
-                    if y == 0:
-                        raise LmlRuntimeError("div by zero")
-                    return x // y
-
-                return idiv
-            if op == "mod":
-
-                def imod(f):
-                    x = g1(f)
-                    y = g2(f)
-                    if y == 0:
-                        raise LmlRuntimeError("mod by zero")
-                    return x % y
-
-                return imod
-            if op == "rpow":
-                return lambda f: math.pow(g1(f), g2(f))
-        elif len(getters) == 1:
-            (g1,) = getters
-            if op == "~":
-                return lambda f: -g1(f)
-            if op == "not":
-                return lambda f: not g1(f)
-            if op == "toReal":
-                return lambda f: float(g1(f))
-            if op == "floor":
-                return lambda f: math.floor(g1(f))
-            if op == "sqrt":
-
-                def fsqrt(f):
-                    x = g1(f)
-                    if x < 0.0:
-                        raise LmlRuntimeError("sqrt of negative")
-                    return math.sqrt(x)
-
-                return fsqrt
-        getters_t = tuple(getters)
-        return lambda f: eval_prim(op, [g(f) for g in getters_t])
-
-    def lam(self, b: S.BLam, sc: _Scope, name: str = "") -> Callable:
-        unit = _Unit()
-        inner = _Scope(unit, sc)
-        param_slot = inner.bind(b.param)
-        body = self.expr(b.body, inner)
-        label = name or b.name_hint
-
-        def enter(parent, arg, _size=unit.size, _slot=param_slot, _body=body):
-            frame = [None] * _size
-            frame[0] = parent
-            frame[_slot] = arg
-            return _body(frame)
-
-        return lambda f, _enter=enter, _label=label: CompClosure(_enter, f, _label)
-
-    # ------------------------------------------------------------------
-    # Changeable expressions
-
-    def cexpr(self, e: S.CExpr, sc: _Scope) -> Callable:
-        steps: list = []
-        while True:
-            t = type(e)
-            if t is S.CLet:
-                bind_fn = self.bind(e.bind, sc)
-                steps.append((sc.bind(e.name), bind_fn))
-                e = e.body
-            elif t is S.CLetRec:
-                slots = [sc.bind(name) for name, _ in e.bindings]
-                for slot, (name, lam) in zip(slots, e.bindings):
-                    steps.append((slot, self.lam(lam, sc, name=name)))
-                e = e.body
-            elif t is S.CImpWrite:
-                gref = self.atom(e.ref, sc)
-                gval = self.atom(e.value, sc)
-                impwrite = self.engine.impwrite
-                steps.append(
-                    (None, lambda f, _gr=gref, _gv=gval, _iw=impwrite: _iw(_gr(f), _gv(f)))
-                )
-                e = e.body
-            else:
-                return _seq_dest(steps, self.ctail(e, sc))
-
-    def ctail(self, e: S.CExpr, sc: _Scope) -> Callable:
-        t = type(e)
-        if t is S.CWrite:
-            engine_write = self.engine.write
-            slot = self._local_slot(e.atom, sc)
-            if slot is not None:
-
-                def cwrite_slot(f, dest, _s=slot):
-                    engine_write(dest, f[_s])
-
-                return cwrite_slot
-            g = self.atom(e.atom, sc)
-
-            def cwrite(f, dest):
-                engine_write(dest, g(f))
-
-            return cwrite
-        if t is S.CRead:
-            gsrc = self.atom(e.src, sc)
-            body_e = e.body
-            if (
-                type(body_e) is S.CWrite
-                and type(body_e.atom) is S.AVar
-                and not body_e.atom.is_builtin
-                and body_e.atom.name == e.binder
-            ):
-                # Copy read (``read x as v in write v``, the coercion shape
-                # of Section 3.3): the reader is just ``write(dest, value)``
-                # -- no frame, no Python-level reader at all.
-                engine_read = self.engine.read
-                engine_write = self.engine.write
-
-                def cread_copy(f, dest):
-                    src = gsrc(f)
-                    if type(src) is not Modifiable and not isinstance(
-                        src, Modifiable
-                    ):
-                        raise LmlRuntimeError(
-                            f"read of a non-modifiable value: {src!r}"
-                        )
-                    engine_read(src, partial(engine_write, dest))
-
-                return cread_copy
-            unit = _Unit()
-            inner = _Scope(unit, sc)
-            binder_slot = inner.bind(e.binder)
-            engine_read = self.engine.read
-            if (
-                type(body_e) is S.CCase
-                and type(body_e.scrut) is S.AVar
-                and body_e.scrut.name == e.binder
-            ):
-                # Fused read-then-match (``read l as v in case v of ...``,
-                # the translation of every recursive list traversal): the
-                # reader dispatches on the fresh value directly, skipping
-                # one closure call and the scrutinee accessor.
-                table: dict = {}
-                for clause in body_e.clauses:
-                    cslot = (
-                        inner.bind(clause.binder)
-                        if clause.binder is not None
-                        else None
-                    )
-                    table.setdefault(
-                        clause.tag, (cslot, self.cexpr(clause.body, inner))
-                    )
-                default = (
-                    self.cexpr(body_e.default, inner)
-                    if body_e.default is not None
-                    else None
-                )
-
-                def cread_case(f, dest, _size=unit.size, _slot=binder_slot):
-                    src = gsrc(f)
-                    if type(src) is not Modifiable and not isinstance(
-                        src, Modifiable
-                    ):
-                        raise LmlRuntimeError(
-                            f"read of a non-modifiable value: {src!r}"
-                        )
-
-                    def reader(value):
-                        ent = table.get(value.tag)
-                        frame = [None] * _size
-                        frame[0] = f
-                        frame[_slot] = value
-                        if ent is not None:
-                            cslot, cbody = ent
-                            if cslot is not None:
-                                frame[cslot] = value.arg
-                            cbody(frame, dest)
-                        elif default is not None:
-                            default(frame, dest)
-                        else:
-                            raise MatchFailure(f"no clause for {value.tag}")
-
-                    engine_read(src, reader)
-
-                return cread_case
-            body = self.cexpr(e.body, inner)
-
-            def cread(f, dest, _size=unit.size, _slot=binder_slot, _body=body):
-                src = gsrc(f)
-                if type(src) is not Modifiable and not isinstance(src, Modifiable):
-                    raise LmlRuntimeError(f"read of a non-modifiable value: {src!r}")
-
-                def reader(value):
-                    # A fresh frame per (re-)execution: closures created by
-                    # an earlier execution keep the bindings they captured.
-                    frame = [None] * _size
-                    frame[0] = f
-                    frame[_slot] = value
-                    _body(frame, dest)
-
-                engine_read(src, reader)
-
-            return cread
-        if t is S.CIf:
-            gcond = self.atom(e.cond, sc)
-            then = self.cexpr(e.then, sc)
-            els = self.cexpr(e.els, sc)
-
-            def cif(f, dest):
-                if gcond(f):
-                    then(f, dest)
-                else:
-                    els(f, dest)
-
-            return cif
-        if t is S.CCase:
-            sslot = self._local_slot(e.scrut, sc)
-            gscrut = self.atom(e.scrut, sc)
-            table: dict = {}
-            for clause in e.clauses:
-                slot = sc.bind(clause.binder) if clause.binder is not None else None
-                table.setdefault(clause.tag, (slot, self.cexpr(clause.body, sc)))
-            default = self.cexpr(e.default, sc) if e.default is not None else None
-
-            if sslot is not None:
-
-                def ccase_slot(f, dest, _ss=sslot):
-                    scrut = f[_ss]
-                    ent = table.get(scrut.tag)
-                    if ent is not None:
-                        slot, body = ent
-                        if slot is not None:
-                            f[slot] = scrut.arg
-                        body(f, dest)
-                        return
-                    if default is not None:
-                        default(f, dest)
-                        return
-                    raise MatchFailure(f"no clause for {scrut.tag}")
-
-                return ccase_slot
-
-            def ccase(f, dest):
-                scrut = gscrut(f)
-                ent = table.get(scrut.tag)
-                if ent is not None:
-                    slot, body = ent
-                    if slot is not None:
-                        f[slot] = scrut.arg
-                    body(f, dest)
-                    return
-                if default is not None:
-                    default(f, dest)
-                    return
-                raise MatchFailure(f"no clause for {scrut.tag}")
-
-            return ccase
-        if t is S.CCaseConst:
-            gscrut = self.atom(e.scrut, sc)
-            arms: dict = {}
-            for value, body in e.arms:
-                arms.setdefault((type(value), value), self.cexpr(body, sc))
-            default = self.cexpr(e.default, sc) if e.default is not None else None
-
-            def ccaseconst(f, dest):
-                scrut = gscrut(f)
-                body = arms.get((type(scrut), scrut))
-                if body is not None:
-                    body(f, dest)
-                    return
-                if default is not None:
-                    default(f, dest)
-                    return
-                raise MatchFailure(f"no arm for {scrut!r}")
-
-            return ccaseconst
-        raise AssertionError(f"unknown cexpr {e!r}")
-
-    # ------------------------------------------------------------------
-
-    def run_program(self, expr: S.Expr) -> Any:
-        unit = _Unit()
-        sc = _Scope(unit)
-        body = self.expr(expr, sc)
-        frame: List[Any] = [None] * unit.size
-        return body(frame)
-
-
-class CompiledSelfAdjusting:
-    """The closure-compilation backend.
-
-    A drop-in alternative to
-    :class:`repro.interp.selfadjusting.SelfAdjustingInterpreter`: same
-    constructor, same ``run``/``apply`` surface, same engine semantics.
-    ``run`` performs the one-time staging pass and executes the top level;
-    all later work (applications, change propagation) runs staged closures
-    only.
-    """
-
-    def __init__(self, engine: Engine) -> None:
-        self.engine = engine
-
-    def run(self, expr: S.Expr) -> Any:
-        return _Stager(self.engine, self).run_program(expr)
-
-    def apply(self, fn: Any, arg: Any) -> Any:
-        if type(fn) is CompClosure:
-            return fn.enter(fn.frame, arg)
-        if isinstance(fn, BuiltinFn):
-            return fn.fn(self, arg)
-        raise LmlRuntimeError(f"application of non-function {fn!r}")
+    if type(a) is S.AVar and not a.is_builtin:
+        depth, slot = sc.resolve(a.name)
+        if depth == 0:
+            return slot
+    return None
+
+
+def atom(a: S.Atom, sc: _Scope) -> Callable:
+    """A getter ``f -> value`` for an atom in the frame ``f``."""
+    if type(a) is S.AVar:
+        if a.is_builtin:
+            builtin = BUILTIN_IMPLS[a.name]
+            return lambda f, _v=builtin: _v
+        depth, slot = sc.resolve(a.name)
+        if depth == 0:
+            return lambda f, _s=slot: f[_s]
+        if depth == 1:
+            return lambda f, _s=slot: f[0][_s]
+        if depth == 2:
+            return lambda f, _s=slot: f[0][0][_s]
+
+        def deep(f, _d=depth, _s=slot):
+            for _ in range(_d):
+                f = f[0]
+            return f[_s]
+
+        return deep
+    value = a.value
+    return lambda f, _v=value: _v
+
+
+def prim(b: S.BPrim, sc: _Scope) -> Callable:
+    """A getter ``f -> value`` computing a primitive over atom getters."""
+    getters = [atom(a, sc) for a in b.args]
+    op = b.op
+    if len(getters) == 2:
+        g1, g2 = getters
+        if op == "+" or op == "^":
+            return lambda f: g1(f) + g2(f)
+        if op == "-":
+            return lambda f: g1(f) - g2(f)
+        if op == "*":
+            return lambda f: g1(f) * g2(f)
+        if op == "<":
+            return lambda f: g1(f) < g2(f)
+        if op == "<=":
+            return lambda f: g1(f) <= g2(f)
+        if op == ">":
+            return lambda f: g1(f) > g2(f)
+        if op == ">=":
+            return lambda f: g1(f) >= g2(f)
+        if op == "=":
+            return lambda f: g1(f) == g2(f)
+        if op == "<>":
+            return lambda f: g1(f) != g2(f)
+        if op == "/":
+
+            def fdiv(f):
+                x = g1(f)
+                y = g2(f)
+                if y == 0.0:
+                    raise LmlRuntimeError("division by zero")
+                return x / y
+
+            return fdiv
+        if op == "div":
+
+            def idiv(f):
+                x = g1(f)
+                y = g2(f)
+                if y == 0:
+                    raise LmlRuntimeError("div by zero")
+                return x // y
+
+            return idiv
+        if op == "mod":
+
+            def imod(f):
+                x = g1(f)
+                y = g2(f)
+                if y == 0:
+                    raise LmlRuntimeError("mod by zero")
+                return x % y
+
+            return imod
+        if op == "rpow":
+            return lambda f: math.pow(g1(f), g2(f))
+    elif len(getters) == 1:
+        (g1,) = getters
+        if op == "~":
+            return lambda f: -g1(f)
+        if op == "not":
+            return lambda f: not g1(f)
+        if op == "toReal":
+            return lambda f: float(g1(f))
+        if op == "floor":
+            return lambda f: math.floor(g1(f))
+        if op == "sqrt":
+
+            def fsqrt(f):
+                x = g1(f)
+                if x < 0.0:
+                    raise LmlRuntimeError("sqrt of negative")
+                return math.sqrt(x)
+
+            return fsqrt
+    getters_t = tuple(getters)
+    return lambda f: eval_prim(op, [g(f) for g in getters_t])

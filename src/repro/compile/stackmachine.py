@@ -1,12 +1,12 @@
 """The flat stack-machine backend (``backend="stack"``).
 
-Both existing backends recurse in the host: the tree-walker nests one
-Python frame per AST step and the closure backend one per staged closure
-call, so every traced list cell costs a handful of CPython frames during
-the initial run *and* again whenever change propagation re-executes a
-reader.  Deep inputs (a 10^5-element cons chain, msort at scale) therefore
-die with ``RecursionError``/``RecursionReexecutionError`` unless the
-process-wide recursion limit is cranked (``REPRO_RECURSION_LIMIT``).
+The tree-walking interpreter recurses in the host: it nests one Python
+frame per AST step, so every traced list cell costs a handful of CPython
+frames during the initial run *and* again whenever change propagation
+re-executes a reader.  Deep inputs (a 10^5-element cons chain, msort at
+scale) therefore die with ``RecursionError``/``RecursionReexecutionError``
+on it unless the process-wide recursion limit is cranked
+(``REPRO_RECURSION_LIMIT``).
 
 This module follows the *self-adjusting stack machines* idea (Hammer et
 al., see PAPERS.md): flatten the translated SXML into linear instruction
@@ -27,20 +27,20 @@ The machine does not call the engine's recursive ``mod``/``read``/
 halves (``mod_begin``/``mod_end``, ``read_begin``/``read_end``,
 ``memo_probe``/``memo_commit``) and interleaves them with its own
 dispatch, producing the *identical* engine-primitive sequence -- same
-stamps, meters, memo keys, hook events -- as the other backends
-(``tests/test_backends_differential.py`` holds all three meter-exact).
+stamps, meters, memo keys, hook events -- as the interpreter
+(``tests/test_backends_differential.py`` holds the two meter-exact).
 
-Re-execution enters the machine the same way it enters the other
-backends: each ``READ`` registers a :class:`StackReader` as the edge's
+Re-execution enters the machine the same way it enters the interpreter:
+each ``READ`` registers a :class:`StackReader` as the edge's
 reader callback, and ``Engine._drain`` re-invokes it with the new value.
 A re-executed reader resumes mid-sequence -- ``__call__`` starts a fresh
 dispatch loop at its reader code's entry with a fresh frame and the
 captured destination, one Python frame total regardless of how deep the
 traced structure is.  Copy reads (``read x as v in write v``) register
-``partial(engine.write, dest)`` exactly like the other backends, so their
+``partial(engine.write, dest)`` exactly like the interpreter, so their
 re-execution never enters the machine at all.
 
-Exception semantics mirror the recursive backends' ``try``/``finally``
+Exception semantics mirror the interpreter's ``try``/``finally``
 nesting: on any raise the dispatch loop walks the remaining control stack
 innermost-first -- ``read_abort`` for open reads, ``mod_abort`` for open
 mods (truncating at the outermost transactional checkpoint) -- and
@@ -48,13 +48,12 @@ re-raises unmangled, so transactional initial runs, propagate-time abort/
 rollback/rebuild, lazy-demand hazards (``_DemandStaleRead``), and planted
 faults from :mod:`repro.obs.faults` all behave identically.
 
-Frame layout, slot allocation, case indexing, atom/primitive staging, and
-the memo-key construction are shared with the closure backend
-(:mod:`repro.compile.closures`): slot 0 is the static link, binder names
-are globally unique, ``BCase`` dispatch uses the ``core/caseindex`` maps,
-and pure straight-line ``let`` segments stay fused Python closures
-executed as a single ``STEPS`` instruction -- only the engine boundaries
-(application, memo, mod, read) and control flow become instructions.
+Frame layout, slot allocation and atom/primitive staging come from
+:mod:`repro.compile.closures`: slot 0 is the static link, binder names are
+globally unique, and pure straight-line ``let`` segments stay fused Python
+closures executed as a single ``STEPS`` instruction -- only the engine
+boundaries (application, memo, mod, read) and control flow become
+instructions.
 """
 
 from __future__ import annotations
@@ -63,7 +62,7 @@ from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core import sxml as S
-from repro.compile.closures import _Scope, _Stager, _Unit
+from repro.compile.closures import _Scope, _Unit, atom, local_slot, prim
 from repro.interp.builtins import BuiltinFn
 from repro.interp.values import (
     ConValue,
@@ -76,12 +75,6 @@ from repro.sac.engine import Engine
 from repro.sac.modifiable import Modifiable
 
 __all__ = ["StackClosure", "StackReader", "StackSelfAdjusting"]
-
-#: Staging helpers borrowed from the closure backend.  ``_Stager.atom``,
-#: ``.prim`` and ``._local_slot`` never touch ``self`` state, so a bare
-#: instance gives byte-identical atom/primitive getters without
-#: duplicating ~150 lines of accessor staging.
-_STAGE = _Stager.__new__(_Stager)
 
 # ----------------------------------------------------------------------
 # Instruction set (tuples; first field is the opcode)
@@ -148,9 +141,8 @@ class StackClosure:
     """A compiled function value: flat code plus its defining frame.
 
     Memoization keys by identity, exactly like the interpreter's
-    ``Closure`` and the closure backend's ``CompClosure``, so
-    compiler-inserted ``BMemoApp`` hits and misses line up one-for-one
-    across all three backends.
+    ``Closure``, so compiler-inserted ``BMemoApp`` hits and misses line
+    up one-for-one across both backends.
     """
 
     __slots__ = ("code", "frame")
@@ -204,8 +196,8 @@ def _steps_run(steps: list) -> Callable:
     """One runner closure for a fused pure let-segment.
 
     Steps are ``(slot, g)`` stores or ``(None, g)`` effects (impwrite);
-    short segments get unrolled variants, mirroring the closure backend's
-    ``_seq_value``/``_seq_dest`` fusion.
+    the common one- and two-store segments get unrolled variants that
+    skip the loop.
     """
     if len(steps) == 1 and steps[0][0] is not None:
         s1, b1 = steps[0]
@@ -295,17 +287,16 @@ class _Flattener:
     def pure_bind(self, b: S.Bind, sc: _Scope) -> Optional[Callable]:
         """A getter for ``b`` if it stages to a plain closure, else None.
 
-        Mirrors the corresponding arms of the closure backend's
-        ``_Stager.bind``; applications, memoized applications, mods, and
-        the control-flow binds return None and become instructions.
+        Applications, memoized applications, mods, and the control-flow
+        binds return None and become instructions.
         """
         t = type(b)
         if t is S.BAtom or t is S.BAscribe:
-            return _STAGE.atom(b.atom, sc)
+            return atom(b.atom, sc)
         if t is S.BPrim:
-            return _STAGE.prim(b, sc)
+            return prim(b, sc)
         if t is S.BTuple:
-            getters = [_STAGE.atom(a, sc) for a in b.items]
+            getters = [atom(a, sc) for a in b.items]
             if len(getters) == 2:
                 g1, g2 = getters
                 return lambda f: (g1(f), g2(f))
@@ -315,21 +306,21 @@ class _Flattener:
             getters_t = tuple(getters)
             return lambda f: tuple(g(f) for g in getters_t)
         if t is S.BProj:
-            g = _STAGE.atom(b.arg, sc)
+            g = atom(b.arg, sc)
             index = b.index - 1
             return lambda f: g(f)[index]
         if t is S.BCon:
             tag = b.tag
             if b.args:
-                g = _STAGE.atom(b.args[0], sc)
+                g = atom(b.args[0], sc)
                 return lambda f: intern_con(tag, g(f))
             nullary = intern_con(tag)
             return lambda f: nullary
         if t is S.BLam:
             return self.lam(b, sc)
         if t is S.BAssign:
-            gref = _STAGE.atom(b.ref, sc)
-            gval = _STAGE.atom(b.value, sc)
+            gref = atom(b.ref, sc)
+            gval = atom(b.value, sc)
             impwrite = self.rt.engine.impwrite
 
             def bassign(f):
@@ -364,7 +355,7 @@ class _Flattener:
     # -- engine-boundary binds -----------------------------------------
 
     def _memo_getters(self, b: S.BMemoApp, sc: _Scope):
-        return _STAGE.atom(b.fn, sc), _STAGE.atom(b.arg, sc)
+        return atom(b.fn, sc), atom(b.arg, sc)
 
     def bind_engine(self, b: S.Bind, slot: Optional[int], sc: _Scope,
                     cont) -> None:
@@ -376,8 +367,8 @@ class _Flattener:
         """
         t = type(b)
         if t is S.BApp:
-            gf = _STAGE.atom(b.fn, sc)
-            ga = _STAGE.atom(b.arg, sc)
+            gf = atom(b.fn, sc)
+            ga = atom(b.arg, sc)
             idx = self.emit([OP_CALL, slot, gf, ga, cont])
         elif t is S.BMemoApp:
             gf, ga = self._memo_getters(b, sc)
@@ -427,8 +418,8 @@ class _Flattener:
                             if tb is S.BApp:
                                 self.emit([
                                     OP_TCALL,
-                                    _STAGE.atom(b.fn, sc),
-                                    _STAGE.atom(b.arg, sc),
+                                    atom(b.fn, sc),
+                                    atom(b.arg, sc),
                                 ])
                             elif tb is S.BMemoApp:
                                 gf, ga = self._memo_getters(b, sc)
@@ -461,7 +452,7 @@ class _Flattener:
                     steps.append((slot, self.lam(lam, sc, name=name)))
                 e = e.body
             elif t is S.ERet:
-                g = _STAGE.atom(e.atom, sc)
+                g = atom(e.atom, sc)
                 flush()
                 if k is _RETK:
                     self.emit([OP_RET, g])
@@ -475,7 +466,7 @@ class _Flattener:
         """Flatten a BIf/BCase/BCaseConst bind; every arm ends in ``k``."""
         t = type(b)
         if t is S.BIf:
-            gcond = _STAGE.atom(b.cond, sc)
+            gcond = atom(b.cond, sc)
             els = _Ref()
             self.emit([OP_IF, gcond, els])
             self.expr(b.then, sc, k)
@@ -506,7 +497,7 @@ class _Flattener:
                 self.expr(b.default, sc, k)
             return
         if t is S.BCaseConst:
-            gscrut = _STAGE.atom(b.scrut, sc)
+            gscrut = atom(b.scrut, sc)
             arm_map: dict = {}
             arms = []
             for value, body in b.arms:
@@ -528,10 +519,10 @@ class _Flattener:
 
     def _scrut(self, a: S.Atom, sc: _Scope):
         """(getter, slot) for a case scrutinee -- slot dispatch when local."""
-        slot = _STAGE._local_slot(a, sc)
+        slot = local_slot(a, sc)
         if slot is not None:
             return None, slot
-        return _STAGE.atom(a, sc), None
+        return atom(a, sc), None
 
     # -- changeable expressions ----------------------------------------
 
@@ -569,27 +560,27 @@ class _Flattener:
                     steps.append((slot, self.lam(lam, sc, name=name)))
                 e = e.body
             elif t is S.CImpWrite:
-                gref = _STAGE.atom(e.ref, sc)
-                gval = _STAGE.atom(e.value, sc)
+                gref = atom(e.ref, sc)
+                gval = atom(e.value, sc)
                 impwrite = self.rt.engine.impwrite
                 steps.append(
                     (None, lambda f, _gr=gref, _gv=gval: impwrite(_gr(f), _gv(f)))
                 )
                 e = e.body
             elif t is S.CWrite:
-                slot = _STAGE._local_slot(e.atom, sc)
+                slot = local_slot(e.atom, sc)
                 flush()
                 if slot is not None:
                     self.emit([OP_WRITES, slot])
                 else:
-                    self.emit([OP_WRITE, _STAGE.atom(e.atom, sc)])
+                    self.emit([OP_WRITE, atom(e.atom, sc)])
                 return
             elif t is S.CRead:
                 flush()
                 self.cread(e, sc)
                 return
             elif t is S.CIf:
-                gcond = _STAGE.atom(e.cond, sc)
+                gcond = atom(e.cond, sc)
                 flush()
                 els = _Ref()
                 self.emit([OP_IF, gcond, els])
@@ -603,7 +594,7 @@ class _Flattener:
                 self.ccase_arms(e, sc, gscrut, sslot)
                 return
             elif t is S.CCaseConst:
-                gscrut = _STAGE.atom(e.scrut, sc)
+                gscrut = atom(e.scrut, sc)
                 flush()
                 arm_map: dict = {}
                 arms = []
@@ -650,11 +641,11 @@ class _Flattener:
         """Flatten a read: copy-read fusion, fused read-case, or general.
 
         The reader body compiles as its own frame unit (fresh frame per
-        (re-)execution, like both other backends); the fused read-case
-        shape puts the ``CASE`` dispatch at the reader's entry so
-        re-execution dispatches on the fresh value directly.
+        (re-)execution, like the interpreter's fresh reader env); the
+        fused read-case shape puts the ``CASE`` dispatch at the reader's
+        entry so re-execution dispatches on the fresh value directly.
         """
-        gsrc = _STAGE.atom(e.src, sc)
+        gsrc = atom(e.src, sc)
         body_e = e.body
         if (
             type(body_e) is S.CWrite
@@ -664,8 +655,8 @@ class _Flattener:
         ):
             # Copy read (``read x as v in write v``, the coercion shape of
             # Section 3.3): the registered reader is just
-            # ``write(dest, value)`` -- identical to the other backends,
-            # so its re-execution never enters the machine.
+            # ``write(dest, value)`` -- identical to the interpreter, so
+            # its re-execution never enters the machine.
             self.emit([OP_READC, gsrc])
             return
         unit = _Unit()
@@ -690,11 +681,10 @@ class _Flattener:
 class StackSelfAdjusting:
     """The stack-machine backend.
 
-    A drop-in alternative to ``SelfAdjustingInterpreter`` /
-    ``CompiledSelfAdjusting``: same constructor, same ``run``/``apply``
-    surface, same engine-primitive sequence -- but initial runs and
-    re-executions proceed with constant Python stack depth, so deep
-    workloads need no recursion-limit tuning.
+    A drop-in alternative to ``SelfAdjustingInterpreter``: same
+    constructor, same ``run``/``apply`` surface, same engine-primitive
+    sequence -- but initial runs and re-executions proceed with constant
+    Python stack depth, so deep workloads need no recursion-limit tuning.
     """
 
     def __init__(self, engine: Engine) -> None:
@@ -769,8 +759,8 @@ class StackSelfAdjusting:
                         reader = StackReader(self, rcode, frame, dest)
                         edge, rvalue = read_begin(src, reader)
                         push((K_READ, edge))
-                        # Fresh frame per (re-)execution, like the other
-                        # backends' fresh reader env/frame.
+                        # Fresh frame per (re-)execution, like the
+                        # interpreter's fresh reader env.
                         frame = [None] * rcode.size
                         frame[0] = reader.frame
                         frame[ins[3]] = rvalue
@@ -966,12 +956,12 @@ class StackSelfAdjusting:
                         return None
                     raise AssertionError("corrupt control stack")
         except BaseException:
-            # Mirror the recursive backends' try/finally nesting: release
+            # Mirror the interpreter's try/finally nesting: release
             # open intervals innermost-first, truncating at the outermost
             # transactional mod, then re-raise unmangled so the engine's
             # failure handling (transactional abort, rollback/rebuild,
             # lazy-demand hazards, fault injection) sees exactly what it
-            # would from the other backends.
+            # would from the interpreter.
             read_abort = engine.read_abort
             mod_abort = engine.mod_abort
             while ctrl:

@@ -75,11 +75,11 @@ class SelfAdjustingInstance:
     :meth:`propagate`.
 
     ``backend`` selects how the translated SXML executes: ``"interp"``
-    (the tree-walking interpreter), ``"compiled"`` (the closure-
-    compilation backend, staged once at instance creation), or ``"stack"``
-    (the flat stack-machine backend: recursion-free execution for deep
-    inputs).  All produce identical outputs, traces, and meter counts;
-    ``None`` defers to :func:`repro.backends.resolve_backend`.
+    (the tree-walking interpreter) or ``"stack"`` (the flat stack-machine
+    backend, flattened once at instance creation: recursion-free
+    execution for deep inputs).  Both produce identical outputs, traces,
+    and meter counts; ``None`` defers to
+    :func:`repro.backends.resolve_backend`.
     """
 
     def __init__(
@@ -93,10 +93,6 @@ class SelfAdjustingInstance:
         self.backend = resolve_backend(backend)
         if self.backend == "interp":
             self.interp = SelfAdjustingInterpreter(self.engine)
-        elif self.backend == "compiled":
-            from repro.compile import CompiledSelfAdjusting
-
-            self.interp = CompiledSelfAdjusting(self.engine)
         elif self.backend == "stack":
             from repro.compile.stackmachine import StackSelfAdjusting
 

@@ -7,10 +7,15 @@ Layout (all after a fixed magic line)::
                                  section table (name, length, CRC32), meta
     <section bytes...>        <- concatenated, in section-table order
 
-The single ``objects`` section is the :mod:`marshal`-serialized flat
-object table produced by :mod:`repro.persist.codec`.  Every section
-carries a CRC32; a torn tail, flipped bit, or truncated header fails
-closed with :class:`SnapshotCorruptError` before any object is rebuilt.
+The ``objects`` section is the :mod:`marshal`-serialized flat object
+table produced by :mod:`repro.persist.codec`.  Before it, an app session's
+snapshot carries a small ``inputs`` section: the marshalled plain input
+data (``app.handle_data``).  A reader that cannot restore the trace can
+still rebuild the session from it, and because a torn or truncated tail
+hits the end of the file, the damage that ruins ``objects`` usually spares
+``inputs``.  Every section carries a CRC32; a torn tail, flipped bit, or
+truncated header fails closed with :class:`SnapshotCorruptError` before
+any object is rebuilt.
 
 The **content address** keys a snapshot to what produced it: the SHA-256
 of the compiled (translated) SXML text and compiler options, the backend,
@@ -37,7 +42,7 @@ import os
 import sys
 import time
 import zlib
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Collection, Dict, Optional, Tuple
 
 from repro.persist.codec import CODEC_VERSION, decode_graph, encode_graph
 from repro.persist.errors import (
@@ -209,14 +214,24 @@ def read_header(path: str) -> dict:
     return header
 
 
-def read_snapshot(path: str) -> Tuple[dict, Dict[str, bytes]]:
-    """Read and CRC-verify a snapshot; returns (header, sections)."""
+def read_snapshot(
+    path: str, names: Optional[Collection[str]] = None
+) -> Tuple[dict, Dict[str, bytes]]:
+    """Read and CRC-verify a snapshot; returns (header, sections).
+
+    With ``names``, only those sections are read and verified (damage
+    elsewhere in the file is not looked at); a named section the file
+    does not have is simply absent from the result.
+    """
     with open(path, "rb") as f:
         blob = f.read()
     header, offset = _parse_header(blob)
     sections: Dict[str, bytes] = {}
     for entry in header.get("sections", []):
         name, length, crc = entry["name"], entry["len"], entry["crc"]
+        if names is not None and name not in names:
+            offset += length
+            continue
         data = blob[offset : offset + length]
         if len(data) != length:
             raise SnapshotCorruptError(
@@ -255,7 +270,15 @@ def save_session(session: Any, path: str) -> dict:
         "rebuilds": session.rebuilds,
     }
     doc = encode_graph(root)
-    objects = marshal.dumps(doc)
+    sections: Dict[str, bytes] = {}
+    if session.app is not None:
+        try:
+            sections["inputs"] = marshal.dumps(
+                session.app.handle_data(session.input_handle)
+            )
+        except ValueError:
+            pass  # input data holds objects marshal cannot write
+    sections["objects"] = marshal.dumps(doc)
     header = {
         "format": FORMAT_VERSION,
         "codec": CODEC_VERSION,
@@ -276,7 +299,7 @@ def save_session(session: Any, path: str) -> dict:
             "objects": len(doc["kinds"]),
         },
     }
-    write_snapshot(path, header, {"objects": objects})
+    write_snapshot(path, header, sections)
     return header
 
 
@@ -298,6 +321,7 @@ def load_session(
     Python never decodes.
     """
     from repro.api import Session
+    from repro.backends import BACKENDS
 
     header, sections = read_snapshot(path)
     content = header["content"]
@@ -309,6 +333,11 @@ def load_session(
     if header.get("codec") != CODEC_VERSION:
         raise SnapshotMismatchError(
             f"snapshot codec {header.get('codec')!r} != {CODEC_VERSION}"
+        )
+    if content["backend"] not in BACKENDS:
+        raise SnapshotMismatchError(
+            f"snapshot was written by backend {content['backend']!r}, "
+            f"which this build does not have (expected one of {BACKENDS})"
         )
     if app is None:
         app = content.get("app")

@@ -2300,7 +2300,7 @@ class Engine:
             return RecursionReexecutionError(
                 f"re-execution of {edge!r} overflowed the interpreter "
                 f"stack; this session was explicitly put on the "
-                f"interp/compiled backend (backend=, --backend or "
+                f"interp backend (backend=, --backend or "
                 f"$REPRO_BACKEND), which nests one Python frame per "
                 f"traced cell. Deep inputs need the default, "
                 f'recursion-free backend="stack" (drop the explicit '

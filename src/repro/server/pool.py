@@ -31,7 +31,10 @@ three things on top that a lone ``Session`` cannot provide:
   never race a propagation), and ``open`` of a previously checkpointed
   document recovers it warm -- restore the snapshot, replay the journal
   suffix, carry on.  Corrupt or mismatched checkpoint state degrades to
-  a cold open (counted in stats), never a poisoned pool.
+  a cold open on the input data the checkpoint recorded (counted in
+  stats), never a poisoned pool; a checkpoint whose recorded inputs are
+  lost too is refused with a :class:`DocError` rather than silently
+  reverting the edits it absorbed.
 * **Admission quotas.**  ``max_edits_per_round`` / ``max_bytes_per_round``
   cap what one document may stage between drains; over-quota edits are
   rejected with :class:`QuotaExceededError` (a typed, per-request error)
@@ -47,6 +50,7 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
+import marshal
 import os
 import random
 from dataclasses import dataclass, field
@@ -58,6 +62,7 @@ from repro.persist import (
     PersistError,
     SnapshotMismatchError,
     read_header,
+    read_snapshot,
 )
 from repro.persist import replay_journal as _replay_journal
 from repro.sac.exceptions import (
@@ -353,9 +358,11 @@ class SessionPool:
         the journal suffix replayed, and only the resulting dirty work
         re-executed -- the durable state (every acknowledged edit) wins
         over the ``data``/``seed`` arguments.  A corrupt, torn, or
-        mismatched snapshot degrades to a cold open (re-run on ``data``,
-        then replay the journal so acknowledged edits still win),
-        counted under ``snapshot_failures``.
+        mismatched snapshot degrades to a cold open on the input data the
+        checkpoint recorded (then replays the journal so acknowledged
+        edits still win), counted under ``snapshot_failures``.  When that
+        recorded data is lost as well, ``open`` raises :class:`DocError`
+        and leaves the checkpoint files as they are.
         """
         if name in self.docs:
             raise DocError(name, f"document {name!r} is already open")
@@ -370,6 +377,8 @@ class SessionPool:
             snap, _wal = self._doc_paths(name)
             if os.path.exists(snap):
                 session = self._try_restore(name, app, doc_backend, doc_mode)
+                if session is None:
+                    data = self._checkpointed_data(name, app, data)
         recovered = session is not None
         if session is None:
             session = Session(app, mode=doc_mode, backend=doc_backend)
@@ -488,9 +497,8 @@ class SessionPool:
         """Restore a session from the document's checkpoint, or ``None``.
 
         Every persistence failure -- bad magic, failed CRC, truncated
-        section, program/backend/mode/Python mismatch -- degrades to a
-        cold open here; nothing a stale checkpoint contains can keep a
-        document from opening.
+        section, program/backend/mode/Python mismatch -- returns ``None``
+        here and the caller cold-opens (see :meth:`_checkpointed_data`).
         """
         snap, _wal = self._doc_paths(name)
         try:
@@ -505,13 +513,41 @@ class SessionPool:
         except (PersistError, OSError) as exc:
             self.snapshot_failures += 1
             log.warning(
-                "document %r: checkpoint restore failed (%s: %s); "
-                "degrading to cold open",
+                "document %r: checkpoint restore failed (%s: %s)",
                 name,
                 type(exc).__name__,
                 exc,
             )
             return None
+
+    def _checkpointed_data(
+        self, name: str, app: str, data: Optional[Sequence[Any]]
+    ) -> Optional[Sequence[Any]]:
+        """Input data for a cold open after a failed restore.
+
+        A checkpoint absorbs the journal it supersedes, so its ``inputs``
+        section may be the only copy of acknowledged edits: cold-opening
+        on ``data``/seed instead would silently revert them.  Only a
+        checkpoint of a different app yields to ``data``; one whose
+        inputs are missing or damaged refuses the open.
+        """
+        snap, _wal = self._doc_paths(name)
+        try:
+            header, sections = read_snapshot(snap, names=("inputs",))
+        except (PersistError, OSError) as exc:
+            problem = f"{type(exc).__name__}: {exc}"
+        else:
+            if header.get("content", {}).get("app") != app:
+                return data
+            if "inputs" in sections:
+                return marshal.loads(sections["inputs"])
+            problem = "it records no inputs"
+        raise DocError(
+            name,
+            f"checkpoint {snap} cannot be restored and its recorded inputs "
+            f"are lost ({problem}); refusing a cold open that would drop "
+            f"acknowledged edits (checkpoint files left in place)",
+        )
 
     def _replay_into(self, doc: PooledDoc, wal: str) -> int:
         """Re-stage the journal's edits into the document's session.

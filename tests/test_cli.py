@@ -111,7 +111,7 @@ def test_trace_no_check_skips_invariants(tmp_path, capsys):
     assert "invariants" not in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("backend", ["interp", "compiled", "stack"])
+@pytest.mark.parametrize("backend", ["interp", "stack"])
 def test_profile_reports_phases_and_engine_stats(capsys, backend):
     rc = main(
         ["profile", "msort", "-n", "16", "--changes", "2",

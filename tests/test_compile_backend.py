@@ -1,9 +1,9 @@
-"""The closure-compilation backend, unit-tested.
+"""The stack-machine backend's staged execution, unit-tested.
 
 ``tests/test_backends_differential.py`` asserts meter-exact equivalence
 with the interpreter across the whole application registry; this file
 covers the pieces individually: frame/slot variable resolution (including
-deep static-link chains), compiled closures' memo identity, the pipeline's
+deep static-link chains), stack closures' memo identity, the pipeline's
 case-dispatch index, the structural ``ConValue`` hash, and the performance
 pin that justifies the backend's existence.
 """
@@ -16,10 +16,11 @@ import pytest
 from repro.api import Session
 from repro.apps import REGISTRY
 from repro.backends import BACKENDS, resolve_backend
-from repro.compile import CompClosure, CompiledSelfAdjusting
+from repro.compile import StackClosure, StackSelfAdjusting
+from repro.compile.stackmachine import Code
 from repro.core.pipeline import compile_program
 from repro.interp.marshal import ModListInput
-from repro.interp.values import ConValue
+from repro.interp.values import ConValue, LmlRuntimeError
 from repro.sac.api import memo_key
 from repro.sac.engine import Engine
 
@@ -55,36 +56,38 @@ def test_convalue_nested_hash():
 def test_resolve_backend_precedence(monkeypatch):
     monkeypatch.delenv("REPRO_BACKEND", raising=False)
     assert resolve_backend() == "stack"
-    monkeypatch.setenv("REPRO_BACKEND", "compiled")
-    assert resolve_backend() == "compiled"
+    monkeypatch.setenv("REPRO_BACKEND", "interp")
+    assert resolve_backend() == "interp"
     # An explicit request beats the environment ...
-    assert resolve_backend("interp") == "interp"
+    assert resolve_backend("stack") == "stack"
     # ... and an empty variable counts as unset.
     monkeypatch.setenv("REPRO_BACKEND", "")
     assert resolve_backend() == "stack"
-    assert set(BACKENDS) == {"interp", "compiled", "stack"}
+    assert BACKENDS == ("interp", "stack")
 
 
 def test_unknown_backend_rejected(monkeypatch):
-    monkeypatch.setenv("REPRO_BACKEND", "jit")
-    with pytest.raises(ValueError):
-        resolve_backend()
-    monkeypatch.delenv("REPRO_BACKEND", raising=False)
     program = compile_program("val main : int $C -> int $C = fn x => x + 1")
-    with pytest.raises(ValueError):
-        Session(program, backend="jit")
+    # "compiled" (the removed closure backend) is just another unknown name.
+    for name in ("jit", "compiled"):
+        monkeypatch.setenv("REPRO_BACKEND", name)
+        with pytest.raises(ValueError):
+            resolve_backend()
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        with pytest.raises(ValueError):
+            Session(program, backend=name)
 
 
 # ----------------------------------------------------------------------
 # Staged execution
 
 
-def run_compiled(src, *, backend="compiled", **kwargs):
-    return Session(src, backend=backend, **kwargs)
+def run_staged(src, **kwargs):
+    return Session(src, backend="stack", **kwargs)
 
 
 def test_scalar_program_compiles_and_propagates():
-    sa = run_compiled("val main : int $C -> int $C = fn x => (x + 1) * (x + 2)")
+    sa = run_staged("val main : int $C -> int $C = fn x => (x + 1) * (x + 2)")
     x = sa.make_input(3)
     out = sa.run(x)
     assert out.peek() == 20
@@ -97,7 +100,7 @@ def test_deep_static_link_chain():
     # Four nested lambdas: the innermost body reads variables at static
     # depths 0..3, exercising the slot accessors beyond the unrolled
     # depth-2 fast paths.
-    sa = run_compiled(
+    sa = run_staged(
         """
         val add4 : int -> int -> int -> int -> int =
           fn a => fn b => fn c => fn d => ((a * 1000 + b * 100) + c * 10) + d
@@ -113,7 +116,7 @@ def test_deep_static_link_chain():
 
 
 def test_case_dispatch_and_recursion():
-    sa = run_compiled(
+    sa = run_staged(
         """
         datatype cell = Nil | Cons of int * cell $C
         fun sumlist l = case l of Nil => 0 | Cons (h, t) => h + sumlist t
@@ -131,21 +134,22 @@ def test_case_dispatch_and_recursion():
     assert out.peek() == 109
 
 
-def test_compiled_closure_memo_identity():
-    clo = CompClosure(lambda frame, arg: arg, [None], "f")
-    other = CompClosure(lambda frame, arg: arg, [None], "f")
+def test_stack_closure_memo_identity():
+    code = Code("f")
+    clo = StackClosure(code, [None])
+    other = StackClosure(code, [None])
     assert clo.memo_key() is clo is memo_key(clo)
     assert clo.memo_key() != other.memo_key()
 
 
-def test_compiled_backend_rejects_non_function():
-    rt = CompiledSelfAdjusting(Engine())
-    with pytest.raises(Exception):
+def test_stack_backend_rejects_non_function():
+    rt = StackSelfAdjusting(Engine())
+    with pytest.raises(LmlRuntimeError, match="non-function"):
         rt.apply(42, 1)
 
 
 # ----------------------------------------------------------------------
-# The pipeline's case-dispatch index (used by both backends)
+# The pipeline's case-dispatch index
 
 
 def test_pipeline_indexes_case_dispatch():
@@ -184,7 +188,7 @@ def test_pipeline_indexes_case_dispatch():
 
 
 # ----------------------------------------------------------------------
-# The performance pin: staging must beat tree-walking
+# The performance pin: the stack machine must beat tree-walking
 
 
 def _best_initial_run(backend, n=64, repeats=3):
@@ -202,15 +206,15 @@ def _best_initial_run(backend, n=64, repeats=3):
     return best
 
 
-def test_compiled_initial_run_is_faster_than_interp():
+def test_stack_initial_run_is_faster_than_interp():
     """The backend's raison d'etre (and the figure-6 overhead pin):
     identical engine work, so any difference is pure dispatch cost --
-    the staged closures must win.  The full >=2x claim is measured by
+    the flat machine must win.  The full >=1.4x claim is measured by
     ``benchmarks/bench_backend_speedup.py``; here we pin the direction
     with headroom so the suite stays robust on loaded CI machines."""
     interp = _best_initial_run("interp")
-    compiled = _best_initial_run("compiled")
-    assert compiled < interp, (
-        f"compiled initial run ({compiled:.4f}s) not faster than "
+    stack = _best_initial_run("stack")
+    assert stack < interp, (
+        f"stack initial run ({stack:.4f}s) not faster than "
         f"interp ({interp:.4f}s)"
     )

@@ -1,7 +1,7 @@
 """Deep-workload stress tests: the stack backend at CPython's default limit.
 
-The interp and compiled backends nest one Python frame per traced cell,
-so a cons chain of depth ``d`` needs a recursion limit comfortably above
+The interp backend nests one Python frame per traced cell, so a cons
+chain of depth ``d`` needs a recursion limit comfortably above
 ``d`` -- for both the initial run and any deep re-execution during
 propagation.  The stack backend (:mod:`repro.compile.stackmachine`) runs
 the same programs with an explicit control stack and bounded Python
@@ -12,8 +12,8 @@ These tests pin both sides of that contract:
 
 * the stack backend runs and propagates a 10^5-element cons chain and a
   deep mergesort with ``sys.setrecursionlimit(1000)`` in effect;
-* at that limit the recursive backends overflow -- ``RecursionError``
-  during the initial run, and the engine's typed
+* at that limit the interp backend overflows -- ``RecursionError`` during
+  the initial run, and the engine's typed
   :class:`RecursionReexecutionError` (whose message recommends
   ``backend="stack"``) when the overflow happens *during propagation*;
 * a :class:`RecursionReexecutionError` abort is transactional: raising
@@ -48,7 +48,7 @@ DEFAULT_LIMIT = 1000
 
 DEEP_N = int(os.environ.get("REPRO_DEEP_N", "100000"))
 
-RECURSIVE_BACKENDS = ["interp", "compiled"]
+RECURSIVE_BACKENDS = ["interp"]
 
 
 @pytest.fixture
@@ -84,7 +84,7 @@ def test_stack_deep_cons_chain_at_default_limit(recursion_limit):
     output = instance.apply(input_value)
     assert list_value_to_python(output) == app.reference(handle.to_python())
     # Edits at the head, middle, and tail of the chain: the head edit is
-    # the deep-re-execution worst case for the recursive backends.
+    # the deep-re-execution worst case for the interp backend.
     for index in (0, DEEP_N // 2, DEEP_N - 1):
         handle.set(index, 1_000_000_000 + index)
         engine.propagate()
@@ -95,8 +95,8 @@ def test_stack_deep_cons_chain_at_default_limit(recursion_limit):
 
 def test_stack_deep_msort_at_default_limit(recursion_limit):
     """msort recursion depth scales with list length; n=1024 already
-    overflows the recursive backends at the default limit (pinned below)
-    while the stack backend runs and propagates it."""
+    overflows the interp backend at the default limit (pinned below) while
+    the stack backend runs and propagates it."""
     app, engine, instance, input_value, handle, rng = _build(
         "msort", 1024, "stack"
     )

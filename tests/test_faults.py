@@ -210,7 +210,7 @@ def test_event_log_records_abort_and_rollback_and_poison():
 # The chaos suite
 
 
-@pytest.mark.parametrize("backend", ["interp", "compiled", "stack"])
+@pytest.mark.parametrize("backend", ["interp", "stack"])
 @pytest.mark.parametrize("name", sorted(REGISTRY))
 def test_chaos_recovers_every_app(name, backend):
     result = chaos_app(
@@ -247,7 +247,7 @@ def test_chaos_recovers_every_app(name, backend):
 LAZY_CHAOS_APPS = ["filter", "msort", "mat-add"]
 
 
-@pytest.mark.parametrize("backend", ["interp", "compiled", "stack"])
+@pytest.mark.parametrize("backend", ["interp", "stack"])
 @pytest.mark.parametrize("name", LAZY_CHAOS_APPS)
 def test_chaos_recovers_under_lazy_demand(name, backend):
     """Faults planted inside demand walks (the injection window keys on
@@ -284,7 +284,7 @@ PERSIST_CHAOS_APPS = ["msort", "vec-reduce", "raytracer"]
 PERSIST_CHAOS_SIZES = {"msort": 12, "vec-reduce": 12, "raytracer": 4}
 
 
-@pytest.mark.parametrize("backend", ["interp", "compiled", "stack"])
+@pytest.mark.parametrize("backend", ["interp", "stack"])
 @pytest.mark.parametrize("name", PERSIST_CHAOS_APPS)
 def test_persist_chaos_every_corruption_detected_or_survived(
     tmp_path, name, backend
@@ -316,7 +316,7 @@ def test_persist_chaos_lazy_matches_eager_promise(tmp_path, mode):
     assert result.detected >= 3
 
 
-@pytest.mark.parametrize("backend", ["interp", "compiled", "stack"])
+@pytest.mark.parametrize("backend", ["interp", "stack"])
 @pytest.mark.parametrize("mode", ["eager", "lazy"])
 def test_journal_chaos_prefix_integrity(tmp_path, backend, mode):
     """Damaged journals replay exactly a clean prefix of the acknowledged

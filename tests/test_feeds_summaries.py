@@ -39,7 +39,7 @@ from repro.sac.exceptions import (
     ReexecutionError,
 )
 
-BACKENDS = ["interp", "compiled", "stack"]
+BACKENDS = ["interp", "stack"]
 
 #: Apps with structurally distinct traces: keyed sharing (msort),
 #: data-dependent partitions (qsort), cutoffs (filter), tuple-heavy

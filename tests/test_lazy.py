@@ -30,7 +30,7 @@ from repro.obs.invariants import InvariantChecker, check_trace
 from repro.sac.engine import Engine
 from repro.sac.exceptions import PropagationBudgetExceeded, PropagationError
 
-BACKENDS = ["interp", "compiled", "stack"]
+BACKENDS = ["interp", "stack"]
 
 #: Same shape as test_backends_differential.APP_SIZES: per-app input size
 #: and change count, small because the grid runs every app twice per test.
@@ -116,7 +116,7 @@ def test_lazy_meter_parity_between_backends(name):
             snaps.append((app.readback(out), session.engine.meter.snapshot()))
         return snaps
 
-    assert trail("interp") == trail("compiled")
+    assert trail("interp") == trail("stack")
 
 
 def test_verify_app_lazy_mode():

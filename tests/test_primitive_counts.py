@@ -90,7 +90,7 @@ METER_PINS = {
 
 
 @pytest.mark.parametrize("workload", sorted(METER_PINS))
-@pytest.mark.parametrize("backend", ["interp", "compiled", "stack"])
+@pytest.mark.parametrize("backend", ["interp", "stack"])
 def test_meter_counts_pinned(workload, backend):
     name, n, seed, changes = workload
     app = REGISTRY[name]

@@ -11,6 +11,7 @@ against from-scratch truth, not against itself.
 
 import asyncio
 import json
+import os
 import random
 
 import pytest
@@ -19,8 +20,11 @@ from repro.api import Session, values_close
 from repro.apps import REGISTRY
 from repro.obs.faults import FaultInjector, PlantedFault
 from repro.obs.invariants import check_trace
+from repro.persist import SnapshotMismatchError, read_header, read_snapshot
+from repro.persist.snapshot import MAGIC, write_snapshot
 from repro.server import (
     Client,
+    DocError,
     DocFailedError,
     FairScheduler,
     QuotaExceededError,
@@ -562,6 +566,109 @@ def test_pool_corrupt_snapshot_degrades_to_cold_open(tmp_path):
         got = await reborn.demand("doc2")
         assert values_close(got["value"], _expected(reborn, "doc2"))
         await reborn.stop()
+
+    asyncio.run(main())
+
+
+async def _checkpoint_absorbed_edit(tmp_path):
+    """A stopped pool whose final checkpoint absorbed the only edit (the
+    journal is empty afterwards); returns (snapshot path, journal path,
+    value)."""
+    pool = SessionPool(mode="eager", checkpoint_dir=str(tmp_path))
+    pool.open("d", app="vec-reduce", n=8, seed=0)
+    await pool.edit("d", "cell:0", 5.0)
+    value = (await pool.demand("d"))["value"]
+    await pool.stop()
+    snap, wal = pool._doc_paths("d")
+    assert os.path.getsize(wal) == 0
+    return snap, wal, value
+
+
+def _rewrite_snapshot(path, *, header_backend=None, drop=()):
+    """Rewrite a snapshot with a different header backend and/or without
+    some sections (CRCs recomputed, so the file stays well-formed)."""
+    header, sections = read_snapshot(path)
+    if header_backend is not None:
+        header["content"]["backend"] = header_backend
+    for name in drop:
+        del sections[name]
+    write_snapshot(path, header, sections)
+
+
+@pytest.mark.parametrize("kind", ["flip-byte", "truncate-tail"])
+def test_pool_cold_open_keeps_edits_the_checkpoint_absorbed(tmp_path, kind):
+    """A checkpoint that cannot be restored must not silently revert the
+    acknowledged edits it absorbed: the cold open runs on the inputs the
+    checkpoint recorded, not on the seed data."""
+    from repro.obs.faults import corrupt_file
+
+    async def main():
+        snap, _wal, before = await _checkpoint_absorbed_edit(tmp_path)
+        corrupt_file(snap, kind, seed=0)
+
+        reborn = SessionPool(mode="eager", checkpoint_dir=str(tmp_path))
+        info = reborn.open("d", app="vec-reduce", n=8, seed=0)
+        assert info["recovered"] is False
+        assert info["replayed"] == 0
+        assert reborn.snapshot_failures == 1
+        assert values_close(info["value"], before)
+        assert (await reborn.get("d", "cell:0"))["value"] == 5.0
+        assert values_close(info["value"], _expected(reborn, "d"))
+        await reborn.stop()
+
+    asyncio.run(main())
+
+
+def test_pool_refuses_cold_open_when_checkpoint_inputs_are_lost(tmp_path):
+    """Damage that reaches the recorded inputs too is a typed DocError,
+    and the checkpoint files stay exactly as they were."""
+
+    async def main():
+        snap, wal, _before = await _checkpoint_absorbed_edit(tmp_path)
+        header = read_header(snap)
+        blob = open(snap, "rb").read()
+        names = [s["name"] for s in header["sections"]]
+        assert names == ["inputs", "objects"]
+        # Flip the first byte of the inputs section (it follows the header).
+        i = blob.index(b"\n", len(MAGIC)) + 1
+        damaged = blob[:i] + bytes([blob[i] ^ 0x40]) + blob[i + 1 :]
+        open(snap, "wb").write(damaged)
+
+        reborn = SessionPool(mode="eager", checkpoint_dir=str(tmp_path))
+        with pytest.raises(DocError, match="recorded inputs are lost"):
+            reborn.open("d", app="vec-reduce", n=8, seed=0)
+        assert "d" not in reborn.docs
+        assert open(snap, "rb").read() == damaged
+        assert os.path.getsize(wal) == 0
+
+    asyncio.run(main())
+
+
+def test_pool_checkpoint_naming_a_removed_backend(tmp_path):
+    """A checkpoint whose header names a backend this build lacks is a
+    snapshot mismatch: with recorded inputs it cold-opens on them, and
+    without them the open is refused -- never a bare ValueError."""
+    removed = "compiled"  # the closure backend, no longer in BACKENDS
+
+    async def main():
+        snap, _wal, before = await _checkpoint_absorbed_edit(tmp_path)
+        _rewrite_snapshot(snap, header_backend=removed)
+        with pytest.raises(SnapshotMismatchError, match="'compiled'"):
+            Session.restore(snap)
+
+        reborn = SessionPool(mode="eager", checkpoint_dir=str(tmp_path))
+        info = reborn.open("d", app="vec-reduce", n=8, seed=0)
+        assert info["recovered"] is False
+        assert info["backend"] != removed
+        assert values_close(info["value"], before)
+        await reborn.stop()
+
+        _rewrite_snapshot(snap, header_backend=removed, drop=("inputs",))
+        kept = open(snap, "rb").read()
+        again = SessionPool(mode="eager", checkpoint_dir=str(tmp_path))
+        with pytest.raises(DocError, match="records no inputs"):
+            again.open("d", app="vec-reduce", n=8, seed=0)
+        assert open(snap, "rb").read() == kept
 
     asyncio.run(main())
 

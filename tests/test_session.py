@@ -98,16 +98,16 @@ def test_session_data_requires_app():
 
 
 def test_session_backend_explicit_beats_env(monkeypatch):
-    monkeypatch.setenv("REPRO_BACKEND", "compiled")
-    assert Session("map", backend="interp").backend == "interp"
-    assert Session("map").backend == "compiled"
+    monkeypatch.setenv("REPRO_BACKEND", "interp")
+    assert Session("map", backend="stack").backend == "stack"
+    assert Session("map").backend == "interp"
     monkeypatch.delenv("REPRO_BACKEND")
     assert Session("map").backend == "stack"
 
 
 def test_session_backends_agree():
     outs = []
-    for backend in ("interp", "compiled", "stack"):
+    for backend in ("interp", "stack"):
         session = Session("msort", backend=backend)
         out = session.run(data=[4, 2, 7, 1])
         outs.append(session.app.readback(out))
