@@ -36,6 +36,12 @@ Section 7): it plants deterministic exceptions at trace sites during
 change propagation, recovers via ``Session.propagate(on_error=...)``,
 and checks the recovered output against a from-scratch oracle.
 
+The ``snapshot`` subcommand writes and reads durable checkpoints
+(DESIGN.md Section 10).  A checkpoint records the app, mode, backend and
+current input data, not the trace: ``load`` runs the app from scratch on
+the recorded inputs, and ``--check`` compares the result with the app's
+reference function.
+
 The ``profile`` subcommand runs an app end to end and reports per-phase
 wall time and meter deltas, the engine's order-maintenance / dirty-queue /
 free-list statistics, the intern table profile, and (by default) the top
@@ -291,35 +297,25 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
                     session.demand()
                 else:
                     session.propagate()
-            header = session.snapshot(args.file)
-            meta = header["meta"]
+            session.snapshot(args.file)
             print(
                 f"saved {args.app} [{session.backend}/{session.mode}] "
                 f"n={args.n} changes={args.changes} -> {args.file}: "
-                f"{meta['objects']} objects, {meta['stamps']} stamps, "
-                f"{meta['live_edges']} edges, key "
-                f"{header['content']['program_key'][:12]}.."
+                f"{os.path.getsize(args.file)} bytes"
             )
             return 0
         # load
         session = Session.restore(
             args.file, args.app, backend=args.backend
         )
-        name = session.app.name if session.app is not None else "<source>"
         print(
-            f"restored {name} [{session.backend}/{session.mode}] "
-            f"from {args.file}: trace={session.trace_size()}, "
-            f"queued={len(session.engine.queue)}"
+            f"restored {session.app.name} [{session.backend}/{session.mode}] "
+            f"from {args.file}: trace={session.trace_size()}"
         )
         if args.check:
             from repro.api import values_close
 
             app = session.app
-            if session.engine.queue:
-                if session.mode == "lazy":
-                    session.demand()
-                else:
-                    session.propagate()
             got = app.readback(session.output)
             expected = app.reference(app.handle_data(session.input_handle))
             if not values_close(got, expected):
@@ -543,8 +539,8 @@ def main(argv=None) -> int:
 
     p_snapshot = sub.add_parser(
         "snapshot",
-        help="save, restore, or inspect content-addressed session "
-             "snapshots (DESIGN.md Section 10)",
+        help="save, restore, or inspect session checkpoints: recorded "
+             "inputs a restore re-runs (DESIGN.md Section 10)",
     )
     snap_sub = p_snapshot.add_subparsers(dest="action", required=True)
     p_snap_save = snap_sub.add_parser(
@@ -565,21 +561,21 @@ def main(argv=None) -> int:
                              default="eager")
     p_snap_save.set_defaults(fn=_cmd_snapshot)
     p_snap_load = snap_sub.add_parser(
-        "load", help="restore a session from a snapshot file"
+        "load", help="restore a session by running it on a snapshot's inputs"
     )
     p_snap_load.add_argument("file")
     p_snap_load.add_argument("--app", default=None,
                              help="override the app recorded in the header")
     p_snap_load.add_argument(
         "--backend", choices=list(BACKENDS), default=None,
-        help="must match the snapshot's backend (content-addressed)",
+        help="run on this backend instead of the recorded one",
     )
     p_snap_load.add_argument("--check", action="store_true",
                              help="verify the restored output against the "
                                   "app's reference function")
     p_snap_load.set_defaults(fn=_cmd_snapshot)
     p_snap_inspect = snap_sub.add_parser(
-        "inspect", help="print a snapshot's header without decoding it"
+        "inspect", help="print a snapshot's header without running it"
     )
     p_snap_inspect.add_argument("file")
     p_snap_inspect.set_defaults(fn=_cmd_snapshot)

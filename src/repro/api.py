@@ -753,11 +753,15 @@ class Session:
     # -- durability (DESIGN.md Section 10) -------------------------------
 
     def snapshot(self, path: str) -> dict:
-        """Write a content-addressed snapshot of this session to ``path``.
+        """Write a checkpoint of this session to ``path``.
 
-        The engine must be quiescent (no propagation/batch in flight);
-        staged lazy edits are fine and round-trip.  Returns the snapshot
-        header (content address, sizes).  Restore with :meth:`restore`.
+        A checkpoint records what a from-scratch run needs: the app,
+        mode, backend and compiler options, the current input data, the
+        counters, and the handle registry (each handle must name an input
+        cell or the output).  The engine must be quiescent (no
+        propagation/batch in flight); staged lazy edits are fine, since
+        the input cells already hold them.  Returns the header.  Restore
+        with :meth:`restore`.
         """
         from repro.persist import save_session
 
@@ -772,15 +776,15 @@ class Session:
         backend: Optional[str] = None,
         hook: Optional[Any] = None,
     ) -> "Session":
-        """Rebuild a session from a snapshot written by :meth:`snapshot`.
+        """Rebuild a session from a checkpoint written by :meth:`snapshot`.
 
-        Recompiles the program (from ``app`` or the snapshot's recorded
-        app name) and verifies the snapshot's content address against it;
-        corrupt or mismatched snapshots raise typed
-        :class:`repro.persist.PersistError` subclasses and never produce a
-        half-restored session.  The restored session is meter-equivalent
-        to the one that was saved: subsequent ``edit``/``propagate``/
-        ``demand`` perform identical work.
+        Compiles the app (``app`` or the checkpoint's recorded app name)
+        and runs it from scratch on the recorded inputs, then rebinds the
+        handles and counters.  The result equals a fresh session run on
+        those inputs -- the reference every incremental value must match.
+        Corrupt or mismatched checkpoints raise typed
+        :class:`repro.persist.PersistError` subclasses before anything
+        runs.
         """
         from repro.persist import load_session
 
@@ -810,9 +814,9 @@ class Session:
         """Re-stage the edits recorded in a journal file; returns the
         number of records applied.
 
-        Recovery = :meth:`restore` the last snapshot, replay the journal,
-        then propagate (or let the next demand drain).  Records the
-        snapshot already absorbed re-apply as no-ops (absolute values cut
+        Recovery = :meth:`restore` the last checkpoint, replay the
+        journal, then propagate (or let the next demand drain).  Records
+        the checkpoint already absorbed re-apply as no-ops (absolute values cut
         off on equality), so an un-truncated journal is harmless.
         Journaling is suspended during the replay itself.
         """

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.apps.base import App
@@ -513,15 +513,18 @@ def _ray_change(handle: SceneInput, rng: random.Random, step: int) -> None:
 
 
 def make_app() -> App:
-    def make_data(n: int, rng: random.Random) -> SceneDescription:
-        return standard_scene(n)
+    # The app's data is the scene as a plain tuple (``astuple``), which
+    # marshal can write into a checkpoint; SceneDescription(*data) builds
+    # the object where one is needed.
+    def make_data(n: int, rng: random.Random) -> tuple:
+        return astuple(standard_scene(n))
 
-    def make_sa_input(engine: Engine, scene: SceneDescription):
-        handle = SceneInput(engine, scene)
+    def make_sa_input(engine: Engine, data: tuple):
+        handle = SceneInput(engine, SceneDescription(*data))
         return handle.value, handle
 
-    def make_conv_input(scene: SceneDescription):
-        return SceneInput(None, scene).value
+    def make_conv_input(data: tuple):
+        return SceneInput(None, SceneDescription(*data)).value
 
     return App(
         name="raytracer",
@@ -530,7 +533,7 @@ def make_app() -> App:
         make_sa_input=make_sa_input,
         make_conv_input=make_conv_input,
         apply_change=_ray_change,
-        reference=reference_render,
+        reference=lambda data: reference_render(SceneDescription(*data)),
         readback=readback_image,
-        handle_data=lambda handle: handle.data(),
+        handle_data=lambda handle: astuple(handle.scene),
     )

@@ -19,13 +19,6 @@ of those segments once, at compile time:
 * **Primitives become direct operator closures** with the interpreter's
   error behaviour (division by zero, negative ``sqrt``); the rest fall
   back to :func:`repro.interp.builtins.eval_prim`.
-
-The module keeps its path for durability: the snapshot codec stores each
-staged lambda's code with its ``__module__`` and rebinds its globals by
-importing that module at decode time.  Checkpoints written since the stack
-machine became the default hold lambdas from here whose code reads the
-module globals ``math``, ``eval_prim`` and ``LmlRuntimeError``; those
-names must stay importable from this module.
 """
 
 from __future__ import annotations

@@ -462,7 +462,8 @@ def chaos_persist(
 
     One session runs ``changes`` random edits and snapshots.  First the
     *intact* snapshot must restore to a session whose output matches the
-    live one and the app's reference (the oracle for everything after).
+    live one and the app's reference (the oracle for everything after),
+    and whose meters equal a fresh session's run on the recorded inputs.
     Then, per corruption kind, a damaged copy must either raise a typed
     :class:`repro.persist.PersistError` (detection) or -- when the damage
     misses the live bytes -- restore to the oracle output.  Any other
@@ -504,7 +505,8 @@ def chaos_persist(
                 f"reference before any corruption"
             )
 
-        # The intact snapshot is the baseline: restore must reproduce it.
+        # The intact snapshot is the baseline: restore must reproduce it,
+        # as a from-scratch run on the recorded inputs.
         restored = Session.restore(snap, app)
         got = app.readback(restored.output)
         if not values_close(got, oracle):
@@ -512,10 +514,13 @@ def chaos_persist(
                 f"persist-chaos {app.name} [{session.backend}]: intact "
                 f"snapshot restored to {got!r}, live session has {oracle!r}"
             )
-        if restored.engine.meter.snapshot() != session.engine.meter.snapshot():
+        fresh = Session(app, backend=session.backend, mode=mode)
+        fresh.run(data=app.handle_data(session.input_handle))
+        if restored.engine.meter.snapshot() != fresh.engine.meter.snapshot():
             raise ChaosError(
                 f"persist-chaos {app.name} [{session.backend}]: intact "
-                f"restore is not meter-exact"
+                f"restore is not meter-exact against a fresh run on the "
+                f"recorded inputs"
             )
 
         scenarios = detected = survived = 0

@@ -1,14 +1,14 @@
 """Durability for self-adjusting sessions (DESIGN.md Section 10).
 
-Three layers, separable and composable:
+Two layers, separable and composable:
 
-* :mod:`repro.persist.codec` -- iterative flat-table serialization of a
-  live engine's object graph (trace, order, memo table, cells, closures);
-* :mod:`repro.persist.snapshot` -- versioned, CRC'd, content-addressed
-  snapshot files plus ``save_session``/``load_session``;
+* :mod:`repro.persist.snapshot` -- versioned, CRC'd checkpoint files that
+  record a session's input data (not its trace), plus
+  ``save_session``/``load_session``: a restore is a from-scratch run on
+  the recorded inputs;
 * :mod:`repro.persist.journal` -- the fsync'd write-ahead edit journal
-  whose replay over a restored snapshot makes acknowledged edits survive
-  ``SIGKILL``.
+  whose replay over a restored checkpoint makes acknowledged edits
+  survive ``SIGKILL``.
 
 The server's checkpointing (``SessionPool(checkpoint_dir=...)``) and the
 ``python -m repro snapshot`` CLI are thin drivers over these.
@@ -27,11 +27,10 @@ from repro.persist.errors import (
 from repro.persist.journal import EditJournal, replay_journal
 from repro.persist.snapshot import (
     FORMAT_VERSION,
-    input_digest,
     inspect_snapshot,
     load_session,
-    program_key,
     read_header,
+    read_inputs,
     read_snapshot,
     save_session,
     write_snapshot,
@@ -51,9 +50,8 @@ __all__ = [
     "save_session",
     "load_session",
     "inspect_snapshot",
-    "program_key",
-    "input_digest",
     "read_header",
+    "read_inputs",
     "read_snapshot",
     "write_snapshot",
     "FORMAT_VERSION",

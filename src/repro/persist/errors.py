@@ -1,14 +1,14 @@
 """Typed failures of the durability subsystem.
 
 The distinctions matter operationally: a :class:`SnapshotCorruptError`
-(torn write, flipped bit, truncated section) and a
-:class:`SnapshotMismatchError` (snapshot of a *different* program /
-backend / mode / interpreter) are both recoverable by degrading to a cold
-rebuild, while a :class:`SnapshotStateError` is a caller bug (snapshotting
-mid-propagation) and a :class:`CodecError` means the object graph held
-something the codec cannot round-trip.  The server's recovery ladder
-catches :class:`PersistError` -- the common base -- and never lets any of
-them poison the pool.
+(torn write, flipped bit, truncated section) means the recorded inputs
+are lost, a :class:`SnapshotMismatchError` (a checkpoint of a *different*
+app, or of a backend this build lacks) means they belong elsewhere, a
+:class:`SnapshotStateError` is a caller bug (checkpointing mid-propagation,
+or a session a checkpoint cannot describe) and a :class:`CodecError` means
+the input data held something ``marshal`` cannot write.  The server's
+recovery ladder catches :class:`PersistError` -- the common base -- and
+never lets any of them poison the pool.
 """
 
 from __future__ import annotations
@@ -30,13 +30,15 @@ class PersistError(Exception):
 
 
 class CodecError(PersistError):
-    """The object graph contains a value the codec cannot serialize or
-    rebuild (with a breadcrumb path to the offending object)."""
+    """The session's input data contains a value ``marshal`` cannot
+    write."""
 
 
 class SnapshotStateError(PersistError):
     """Snapshot requested from a non-quiescent engine (mid-propagation,
-    inside a batch/mod scope, or poisoned)."""
+    inside a batch/mod scope, or poisoned), from a session without an
+    app's input data, or with a handle naming a modifiable that is neither
+    an input cell nor the output."""
 
 
 class SnapshotFormatError(PersistError):
@@ -45,15 +47,13 @@ class SnapshotFormatError(PersistError):
 
 
 class SnapshotCorruptError(PersistError):
-    """A snapshot failed an integrity check: truncated file, section CRC
-    mismatch, undecodable object table, or post-restore digest mismatch."""
+    """A snapshot failed an integrity check: truncated file, header or
+    section CRC mismatch, or inputs that do not unmarshal."""
 
 
 class SnapshotMismatchError(PersistError):
-    """A structurally valid snapshot whose content address does not match
-    what the restorer is running: different compiled program, backend,
-    mode, or an incompatible Python (``marshal`` bytecode is
-    version-specific)."""
+    """A structurally valid snapshot that does not fit the restorer: it
+    records another app's inputs, or names a backend this build lacks."""
 
 
 class JournalError(PersistError):

@@ -1,65 +1,58 @@
-"""Versioned, content-addressed snapshot files.
+"""Versioned checkpoint files: a session's recorded inputs, not its trace.
 
 Layout (all after a fixed magic line)::
 
     #repro-snapshot 1\\n
-    {json header}\\n          <- format/python versions, content address,
-                                 section table (name, length, CRC32), meta
-    <section bytes...>        <- concatenated, in section-table order
+    {json header}\\n          <- format version, what to run (app, backend,
+                                 mode, compiler options), session counters,
+                                 handle registry, section table (name,
+                                 length, CRC32), and the header's own CRC32
+    <inputs bytes>            <- marshal.dumps(app.handle_data(input_handle))
 
-The ``objects`` section is the :mod:`marshal`-serialized flat object
-table produced by :mod:`repro.persist.codec`.  Before it, an app session's
-snapshot carries a small ``inputs`` section: the marshalled plain input
-data (``app.handle_data``).  A reader that cannot restore the trace can
-still rebuild the session from it, and because a torn or truncated tail
-hits the end of the file, the damage that ruins ``objects`` usually spares
-``inputs``.  Every section carries a CRC32; a torn tail, flipped bit, or
-truncated header fails closed with :class:`SnapshotCorruptError` before
-any object is rebuilt.
+Self-adjusting semantics make a from-scratch run on the current input the
+reference for every value a session shows, so a checkpoint records just
+that input.  Restoring compiles the app, runs it on the recorded data, and
+rebinds the handle registry (each handle names an input cell by its index,
+or the output) and the counters.  The restored session therefore equals a
+fresh :class:`repro.api.Session` run on the same inputs -- values and
+meters -- rather than the trace the saved session had grown.
 
-The **content address** keys a snapshot to what produced it: the SHA-256
-of the compiled (translated) SXML text and compiler options, the backend,
-the propagation mode, and a digest of the marshalled input values.  A
-restorer recomputes the program key from its own compilation and refuses
-mismatches (:class:`SnapshotMismatchError`) -- restoring a raytracer trace
-into an msort session, or an eager trace into a lazy engine, is detected
-before decode.  The input digest is re-derived from the *decoded* graph as
-an end-to-end integrity check behind the CRCs.
+The CRCs are the integrity check: a torn tail, flipped bit, or truncated
+file fails closed with :class:`SnapshotCorruptError` before anything runs.
+Files written before this layout also carry an ``objects`` section (a
+serialized trace); readers skip it and run on their ``inputs`` section,
+and one without ``inputs`` is refused with :class:`SnapshotFormatError`.
 
 Snapshots are written atomically (temp file + fsync + rename) so a crash
-mid-checkpoint leaves the previous snapshot intact.  They are a trusted
-format: CRCs detect corruption, not tampering (``marshal`` is not designed
-to reject adversarial bytecode) -- keep checkpoint directories as private
-as the process state they mirror.
+mid-checkpoint leaves the previous snapshot intact.  CRCs detect
+corruption, not tampering -- keep checkpoint directories as private as the
+process state they mirror.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import marshal
 import os
-import sys
 import time
 import zlib
 from typing import Any, Collection, Dict, Optional, Tuple
 
-from repro.persist.codec import CODEC_VERSION, decode_graph, encode_graph
 from repro.persist.errors import (
+    CodecError,
     SnapshotCorruptError,
     SnapshotFormatError,
     SnapshotMismatchError,
+    SnapshotStateError,
 )
-from repro.sac.modifiable import Modifiable
 
 __all__ = [
     "FORMAT_VERSION",
     "MAGIC",
-    "program_key",
-    "input_digest",
     "write_snapshot",
     "read_snapshot",
     "read_header",
+    "read_inputs",
     "save_session",
     "load_session",
     "inspect_snapshot",
@@ -68,92 +61,17 @@ __all__ = [
 FORMAT_VERSION = 2
 MAGIC = b"#repro-snapshot 1\n"
 
-_PYTHON = "%d.%d" % sys.version_info[:2]
-
-
-# ----------------------------------------------------------------------
-# Content address
-
-
-def program_key(program: Any, backend: str, mode: str) -> str:
-    """SHA-256 content address of (compiled SXML, options, backend, mode)."""
-    h = hashlib.sha256()
-    h.update(program.dump_translated().encode())
-    h.update(b"\x00")
-    h.update(repr(program.options).encode())
-    h.update(b"\x00")
-    h.update(backend.encode())
-    h.update(b"\x00")
-    h.update(mode.encode())
-    return h.hexdigest()
-
-
-def input_digest(value: Any) -> str:
-    """Deterministic digest of a runtime input value.
-
-    Iterative (no recursion: inputs can be spine-deep lists) and
-    sharing-aware: revisited objects hash as backreferences, so the digest
-    of a decoded graph matches the original's iff the decoded topology
-    does.  Computed at save over the session input and recomputed after
-    decode as the end-to-end check behind the per-section CRCs.
-    """
-    from repro.interp.values import ConValue, RefCell
-
-    h = hashlib.sha256()
-    upd = h.update
-    seen: Dict[int, int] = {}
-    stack = [value]
-    while stack:
-        v = stack.pop()
-        if v is None:
-            upd(b"N")
-            continue
-        t = type(v)
-        if t is bool or t is int or t is float or t is str:
-            upd(repr(v).encode())
-            upd(b";")
-            continue
-        if t is bytes:
-            upd(b"B")
-            upd(v)
-            continue
-        vid = id(v)
-        idx = seen.get(vid)
-        if idx is not None:
-            upd(b"@%d" % idx)
-            continue
-        seen[vid] = len(seen)
-        if t is tuple or t is list:
-            upd(b"T%d;" % len(v))
-            stack.extend(reversed(v))
-        elif t is Modifiable:
-            if v.written:
-                upd(b"M")
-                stack.append(v.value)
-            else:
-                upd(b"MU")
-        elif t is ConValue:
-            upd(b"C")
-            upd(v.tag.encode())
-            upd(b";")
-            stack.append(v.arg)
-        elif t is RefCell:
-            upd(b"R")
-            stack.append(v.value)
-        elif t is dict:
-            upd(b"D%d;" % len(v))
-            for k, x in reversed(list(v.items())):
-                stack.append(x)
-                stack.append(k)
-        else:
-            upd(b"?")
-            upd(type(v).__qualname__.encode())
-            upd(b";")
-    return h.hexdigest()
+#: the handle-registry entry naming the session output (others are
+#: input-cell indices)
+OUT = "out"
 
 
 # ----------------------------------------------------------------------
 # File I/O
+
+
+def _dump(header: dict) -> bytes:
+    return json.dumps(header, separators=(",", ":")).encode()
 
 
 def write_snapshot(path: str, header: dict, sections: Dict[str, bytes]) -> None:
@@ -162,12 +80,13 @@ def write_snapshot(path: str, header: dict, sections: Dict[str, bytes]) -> None:
     for name, data in sections.items():
         table.append({"name": name, "len": len(data), "crc": zlib.crc32(data)})
     header = dict(header)
+    header.pop("crc", None)
     header["sections"] = table
-    header_line = json.dumps(header, separators=(",", ":")).encode() + b"\n"
+    header["crc"] = zlib.crc32(_dump(header))
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "wb") as f:
         f.write(MAGIC)
-        f.write(header_line)
+        f.write(_dump(header) + b"\n")
         for _name, data in sections.items():
             f.write(data)
         f.flush()
@@ -199,6 +118,10 @@ def _parse_header(blob: bytes) -> Tuple[dict, int]:
         header = json.loads(blob[len(MAGIC) : end])
     except ValueError as exc:
         raise SnapshotCorruptError(f"corrupt snapshot header: {exc}") from exc
+    # Files written before the header carried its own CRC have none.
+    crc = header.pop("crc", None)
+    if crc is not None and zlib.crc32(_dump(header)) != crc:
+        raise SnapshotCorruptError("snapshot header failed its CRC check")
     if header.get("format") != FORMAT_VERSION:
         raise SnapshotFormatError(
             f"unsupported snapshot format {header.get('format')!r}"
@@ -245,61 +168,85 @@ def read_snapshot(
     return header, sections
 
 
+def read_inputs(path: str) -> Tuple[dict, Any]:
+    """Read a checkpoint's header and the input data it recorded."""
+    header, sections = read_snapshot(path, names=("inputs",))
+    if "inputs" not in sections:
+        raise SnapshotFormatError(
+            f"snapshot {path} records no inputs (a trace-only checkpoint "
+            f"from an older build)"
+        )
+    try:
+        return header, marshal.loads(sections["inputs"])
+    except (ValueError, EOFError, TypeError) as exc:
+        raise SnapshotCorruptError(
+            f"inputs failed to unmarshal: {exc}"
+        ) from exc
+
+
 # ----------------------------------------------------------------------
 # Session-level save / load
 
 
-def save_session(session: Any, path: str) -> dict:
-    """Snapshot a quiescent :class:`repro.api.Session` to ``path``.
-
-    Returns the written header.  The session itself is untouched (same
-    engine, same trace); staged-but-unpropagated lazy state round-trips.
-    """
-    engine = session.engine
-    engine.snapshot_precondition()
-    root = {
-        "engine": engine,
-        "instance": session.instance,
-        "input_handle": session.input_handle,
-        "input_value": session.input_value,
-        "output": session.output,
-        "handles": session._handles,
-        "handle_seq": session._handle_seq,
-        "propagations": session.propagations,
-        "demands": session.demands,
-        "rebuilds": session.rebuilds,
-    }
-    doc = encode_graph(root)
-    sections: Dict[str, bytes] = {}
-    if session.app is not None:
-        try:
-            sections["inputs"] = marshal.dumps(
-                session.app.handle_data(session.input_handle)
+def _handle_indices(session: Any) -> Dict[str, Any]:
+    """The handle registry as name -> input-cell index, or :data:`OUT`."""
+    cells = getattr(session.input_handle, "mods", ())
+    index = {id(mod): i for i, mod in enumerate(cells)}
+    handles: Dict[str, Any] = {}
+    for name, mod in session._handles.items():
+        if mod is session.output:
+            handles[name] = OUT
+        elif id(mod) in index:
+            handles[name] = index[id(mod)]
+        else:
+            raise SnapshotStateError(
+                f"handle {name!r} names a modifiable that is neither an "
+                f"input cell nor the output, so a restore could not rebind it"
             )
-        except ValueError:
-            pass  # input data holds objects marshal cannot write
-    sections["objects"] = marshal.dumps(doc)
+    return handles
+
+
+def save_session(session: Any, path: str) -> dict:
+    """Checkpoint a quiescent app-backed :class:`repro.api.Session` to
+    ``path``; returns the header.  The session itself is untouched.
+    """
+    session.engine.snapshot_precondition()
+    app = session.app
+    if app is None or session.input_handle is None:
+        raise SnapshotStateError(
+            "only an app-backed session run on data= can be checkpointed: "
+            "a checkpoint records the app's input data"
+        )
+    handles = _handle_indices(session)
+    try:
+        inputs = marshal.dumps(app.handle_data(session.input_handle))
+    except ValueError as exc:
+        raise CodecError(
+            f"{app.name} input data is not marshallable: {exc}"
+        ) from exc
+    options = session.options
     header = {
         "format": FORMAT_VERSION,
-        "codec": CODEC_VERSION,
-        "python": _PYTHON,
         "created": time.time(),
         "content": {
-            "program_key": program_key(session.program, session.backend, session.mode),
+            "app": app.name,
             "backend": session.backend,
             "mode": session.mode,
-            "app": session.app.name if session.app is not None else None,
-            "input_digest": input_digest(session.input_value),
+            "options": {
+                "memoize": options.memoize,
+                "optimize": options.optimize,
+                "coarse": options.coarse,
+            },
         },
-        "meta": {
-            "stamps": engine.order.n_live,
-            "live_edges": engine.meter.live_edges,
-            "live_memo_entries": engine.meter.live_memo_entries,
-            "queued": len(engine.queue),
-            "objects": len(doc["kinds"]),
+        "counters": {
+            "propagations": session.propagations,
+            "demands": session.demands,
+            "rebuilds": session.rebuilds,
+            "handle_seq": session._handle_seq,
         },
+        "handles": handles,
     }
-    write_snapshot(path, header, sections)
+    write_snapshot(path, header, {"inputs": inputs})
     return header
 
 
@@ -309,96 +256,66 @@ def load_session(
     *,
     backend: Optional[str] = None,
     hook: Any = None,
-    verify_digest: bool = True,
 ) -> Any:
     """Restore a :class:`repro.api.Session` from ``path``.
 
-    ``app`` may be an app name, an :class:`repro.apps.base.App`, LML
-    source, or a compiled program; when omitted, the app named in the
-    snapshot header is looked up in the registry.  The restorer
-    *recompiles* the program and checks the snapshot's content address
-    against its own -- a snapshot of different code, backend, mode, or
-    Python never decodes.
+    ``app`` may be an app name or an :class:`repro.apps.base.App`; when
+    omitted, the app named in the header is looked up in the registry.
+    The session is compiled with the recorded options and run from
+    scratch on the recorded inputs, under the recorded mode and (unless
+    ``backend`` overrides it) backend; then the handles and counters are
+    rebound and ``hook`` is attached.
     """
     from repro.api import Session
+    from repro.apps import REGISTRY
+    from repro.apps.base import App
     from repro.backends import BACKENDS
 
-    header, sections = read_snapshot(path)
-    content = header["content"]
-    if header.get("python") != _PYTHON:
-        raise SnapshotMismatchError(
-            f"snapshot was written by Python {header.get('python')}, "
-            f"this is {_PYTHON} (marshal bytecode is version-specific)"
-        )
-    if header.get("codec") != CODEC_VERSION:
-        raise SnapshotMismatchError(
-            f"snapshot codec {header.get('codec')!r} != {CODEC_VERSION}"
-        )
-    if content["backend"] not in BACKENDS:
-        raise SnapshotMismatchError(
-            f"snapshot was written by backend {content['backend']!r}, "
-            f"which this build does not have (expected one of {BACKENDS})"
-        )
+    header, data = read_inputs(path)
+    content = header.get("content", {})
+    recorded = content.get("app")
     if app is None:
-        app = content.get("app")
-        if app is None:
+        app = recorded
+    if isinstance(app, str):
+        app = REGISTRY.get(app, app)
+    if not isinstance(app, App):
+        raise SnapshotMismatchError(
+            f"a checkpoint restores onto a registered app; got {app!r}"
+        )
+    if app.name != recorded:
+        raise SnapshotMismatchError(
+            f"snapshot records inputs of app {recorded!r}, not {app.name!r}"
+        )
+    if backend is None:
+        backend = content.get("backend")
+        if backend not in BACKENDS:
             raise SnapshotMismatchError(
-                "snapshot names no registered app; pass app=/program explicitly"
+                f"snapshot was written by backend {backend!r}, which this "
+                f"build does not have (expected one of {BACKENDS})"
             )
+    options = content.get("options", {})
     session = Session(
         app,
-        backend=backend if backend is not None else content["backend"],
-        mode=content["mode"],
-        hook=hook,
+        backend=backend,
+        mode=content.get("mode"),
+        memoize=options.get("memoize", True),
+        optimize=options.get("optimize", True),
+        coarse=options.get("coarse", False),
     )
-    expected = program_key(session.program, session.backend, session.mode)
-    if expected != content["program_key"]:
-        raise SnapshotMismatchError(
-            "content address mismatch: snapshot "
-            f"{content['program_key'][:12]}.. vs live {expected[:12]}.. "
-            "(different program, options, backend, or mode)"
-        )
-    try:
-        doc = marshal.loads(sections["objects"])
-    except (ValueError, EOFError, TypeError, KeyError) as exc:
-        raise SnapshotCorruptError(f"object table failed to unmarshal: {exc}") from exc
-    root = decode_graph(doc)
-    if verify_digest:
-        digest = input_digest(root["input_value"])
-        if digest != content["input_digest"]:
-            raise SnapshotCorruptError(
-                "restored input digest does not match the snapshot's "
-                "content address"
-            )
-    engine = root["engine"]
-    session.engine = engine
-    session.mode = engine.mode
-    session.instance = root["instance"]
-    session.input_handle = root["input_handle"]
-    session.input_value = root["input_value"]
-    session.output = root["output"]
-    session._handles = root["handles"]
-    session._handle_names = {id(mod): name for name, mod in root["handles"].items()}
-    session._handle_seq = root["handle_seq"]
-    session.propagations = root["propagations"]
-    session.demands = root["demands"]
-    session.rebuilds = root["rebuilds"]
+    session.run(data=data)
+    cells = getattr(session.input_handle, "mods", ())
+    for name, ref in header.get("handles", {}).items():
+        session.handle(session.output if ref == OUT else cells[ref], name)
+    counters = header.get("counters", {})
+    session.propagations = counters.get("propagations", 0)
+    session.demands = counters.get("demands", 0)
+    session.rebuilds = counters.get("rebuilds", 0)
+    session._handle_seq = counters.get("handle_seq", 0)
     if hook is not None:
-        engine.attach_hook(hook)
+        session.engine.attach_hook(hook)
     return session
 
 
 def inspect_snapshot(path: str) -> dict:
-    """Header, content address, and sizes -- without decoding objects."""
-    header = read_header(path)
-    return {
-        "path": path,
-        "bytes": os.path.getsize(path),
-        "format": header.get("format"),
-        "codec": header.get("codec"),
-        "python": header.get("python"),
-        "created": header.get("created"),
-        "content": header.get("content", {}),
-        "meta": header.get("meta", {}),
-        "sections": header.get("sections", []),
-    }
+    """Header fields and file size -- without running anything."""
+    return {"path": path, "bytes": os.path.getsize(path), **read_header(path)}

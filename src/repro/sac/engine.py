@@ -439,9 +439,9 @@ class Engine:
 
         Quiescent means: no propagation, re-execution, batch, or ``mod``
         scope in flight, and not poisoned.  Staged-but-unpropagated edits
-        (a non-empty dirty queue, suspect bits, the rollback journal) are
-        fine -- lazy sessions live in that state -- because the queue and
-        journal round-trip through the snapshot.
+        (a non-empty dirty queue, suspect bits) are fine -- lazy sessions
+        live in that state -- because the input cells already hold the
+        edited values a checkpoint records.
         """
         from repro.persist.errors import SnapshotStateError
 
@@ -459,49 +459,6 @@ class Engine:
                 "snapshot requires a quiescent engine (no propagation, "
                 "batch, or mod scope in flight)"
             )
-
-    def queue_pop_order(self) -> List[ReadEdge]:
-        """The propagation heap's edges in pop order (for serialization).
-
-        Re-keys first if a relabel is pending so every entry agrees with
-        the current epoch; the resulting ``(key, seq)`` pairs are then
-        totally ordered and sorting them yields exactly the order
-        :meth:`propagate` would pop.
-        """
-        if self.order.epoch != self._queue_epoch:
-            self._rekey_queue()
-        return [edge for _key, _seq, edge in sorted(self.queue, key=lambda t: t[:2])]
-
-    def install_queue(self, edges: Sequence[ReadEdge]) -> None:
-        """Rebuild the propagation heap from ``edges`` in pop order.
-
-        Restore-side dual of :meth:`queue_pop_order`.  Fresh ``(key, seq)``
-        snapshots are assigned against the *current* stamp keys: relative
-        stamp order survives a restore even though the packed integers do
-        not, and monotone keys with strictly increasing sequence numbers
-        make the sorted list a valid heap as-is.  Dead edges (discarded
-        while queued, kept for drain accounting) get a keyed tombstone
-        stamp clamped to the preceding live key, preserving their pop
-        position.  No meters move: the serialized meter already counted
-        these pushes on the live engine.
-        """
-        from repro.persist.codec import _dead_stamp
-
-        entries: List[Tuple[int, int, ReadEdge]] = []
-        last_key = 0
-        for seq, edge in enumerate(edges, start=1):
-            if edge.dead:
-                if edge.start is None:
-                    edge.start = _dead_stamp(last_key, 0)
-                key = edge.start.key
-            else:
-                key = edge.start.key
-                last_key = key
-            entries.append((key, seq, edge))
-        self.queue = entries
-        self._queue_seq = len(entries)
-        self._queue_peak = max(self._queue_peak, len(entries))
-        self._queue_epoch = self.order.epoch
 
     # ------------------------------------------------------------------
     # Trace construction primitives

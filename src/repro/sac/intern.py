@@ -83,8 +83,6 @@ class InternTable:
         self.misses = 0
         #: constructions whose argument was not internable.
         self.bypassed = 0
-        #: cells rebuilt from a snapshot (see :meth:`rehydrate`).
-        self.rehydrated = 0
 
     def con(self, cls: Any, tag: str, arg: Any = None) -> Any:
         """Return a canonical ``cls(tag, arg)``, or a fresh uninterned one
@@ -103,21 +101,6 @@ class InternTable:
         value._hc = True
         self.table[full_key] = value
         return value
-
-    def rehydrate(self, cls: Any, tag: str, arg: Any, canonical: bool) -> Any:
-        """Rebuild a deserialized constructor cell (``repro.persist``).
-
-        A cell that was canonical when snapshotted must come back *through*
-        the table: restoring it as a plain instance would break the
-        one-sided soundness guarantee (two distinct canonical objects are
-        structurally unequal) that identity-fast cutoffs and memo keys rely
-        on.  A cell that was uninterned stays uninterned -- its argument
-        may contain pieces (floats, closures) the table refuses by design.
-        """
-        self.rehydrated += 1
-        if canonical:
-            return self.con(cls, tag, arg)
-        return cls(tag, arg)
 
     def _key(self, value: Any) -> Optional[Any]:
         """An intern key for ``value``, or ``None`` if uninternable."""
@@ -159,7 +142,6 @@ class InternTable:
             "hits": self.hits,
             "misses": self.misses,
             "bypassed": self.bypassed,
-            "rehydrated": self.rehydrated,
         }
 
 

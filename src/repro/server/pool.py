@@ -18,23 +18,22 @@ three things on top that a lone ``Session`` cannot provide:
 * **Per-document recovery.**  A fault inside one document's propagation
   is contained there: the pool rolls the document back
   (``on_error="rollback"``), escalating after ``max_rollbacks``
-  consecutive rollbacks -- first to a **restore from the document's last
+  consecutive rollbacks -- first to a **reopen from the document's last
   checkpoint** (when ``checkpoint_dir`` is set), then to a from-scratch
   rebuild -- and marks the document failed only when no recovery
   applies.  Sibling documents never see any of it -- their engines share
   nothing but the event loop.
 * **Durability** (``checkpoint_dir=...``).  Every document gets a
-  content-addressed snapshot file plus an fsync'd write-ahead edit
-  journal (:mod:`repro.persist`): edits are journaled before they are
-  acknowledged, snapshots are written every ``checkpoint_every``
+  checkpoint file recording its input data plus an fsync'd write-ahead
+  edit journal (:mod:`repro.persist`): edits are journaled before they
+  are acknowledged, checkpoints are written every ``checkpoint_every``
   acknowledged edits (piggybacking on drain completion, so checkpoints
   never race a propagation), and ``open`` of a previously checkpointed
-  document recovers it warm -- restore the snapshot, replay the journal
-  suffix, carry on.  Corrupt or mismatched checkpoint state degrades to
-  a cold open on the input data the checkpoint recorded (counted in
-  stats), never a poisoned pool; a checkpoint whose recorded inputs are
-  lost too is refused with a :class:`DocError` rather than silently
-  reverting the edits it absorbed.
+  document recovers it -- run on the recorded inputs, replay the
+  journal suffix, carry on.  The checkpoint is the only copy of the
+  edits it absorbed, so one that cannot be read is refused with a
+  :class:`DocError` (its files left as they are) rather than silently
+  reverting them; siblings are unaffected.
 * **Admission quotas.**  ``max_edits_per_round`` / ``max_bytes_per_round``
   cap what one document may stage between drains; over-quota edits are
   rejected with :class:`QuotaExceededError` (a typed, per-request error)
@@ -50,19 +49,18 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
-import marshal
 import os
 import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.api import Session
+from repro.backends import BACKENDS
 from repro.persist import (
     JournalCorruptError,
     PersistError,
     SnapshotMismatchError,
-    read_header,
-    read_snapshot,
+    read_inputs,
 )
 from repro.persist import replay_journal as _replay_journal
 from repro.sac.exceptions import (
@@ -230,14 +228,14 @@ class SessionPool:
     scheduling slice; ``on_error`` is the per-document recovery policy
     (``"rollback"``, ``"rebuild"``, or ``"raise"`` to surface faults to
     the caller); after ``max_rollbacks`` consecutive rollbacks on one
-    document the pool escalates it -- to a restore from the last
+    document the pool escalates it -- to a reopen from the last
     checkpoint when one exists (at most ``max_restores`` consecutive
     times), else to a rebuild.
 
-    ``checkpoint_dir`` turns on durability: per-document snapshot +
+    ``checkpoint_dir`` turns on durability: per-document checkpoint +
     write-ahead journal files live there, edits are fsync'd durable
     before they are acknowledged (``journal_fsync=False`` trades that
-    for latency), and a fresh snapshot is cut every
+    for latency), and a fresh checkpoint is cut every
     ``checkpoint_every`` acknowledged edits, at drain boundaries.
     ``max_edits_per_round`` / ``max_bytes_per_round`` bound what one
     document may stage between drains (:class:`QuotaExceededError`).
@@ -310,8 +308,8 @@ class SessionPool:
         """Stop the pump; open documents stay queryable synchronously.
 
         With checkpointing on, every document that absorbed edits since
-        its last checkpoint is snapshotted (best effort) so a graceful
-        shutdown restarts warm without any journal replay.
+        its last checkpoint gets a new one (best effort), so a graceful
+        shutdown reopens without any journal replay.
         """
         self._running = False
         if self._pump_task is not None:
@@ -354,15 +352,14 @@ class SessionPool:
         output is a single modifiable.
 
         With ``checkpoint_dir`` set, a document that was checkpointed by
-        a previous process recovers **warm**: its snapshot is restored,
-        the journal suffix replayed, and only the resulting dirty work
-        re-executed -- the durable state (every acknowledged edit) wins
-        over the ``data``/``seed`` arguments.  A corrupt, torn, or
-        mismatched snapshot degrades to a cold open on the input data the
-        checkpoint recorded (then replays the journal so acknowledged
-        edits still win), counted under ``snapshot_failures``.  When that
-        recorded data is lost as well, ``open`` raises :class:`DocError`
-        and leaves the checkpoint files as they are.
+        a previous process is **recovered**: it runs on the input data
+        its checkpoint recorded, the journal suffix is replayed, and the
+        durable state (every acknowledged edit) wins over the
+        ``data``/``seed`` arguments.  A checkpoint of another app yields
+        to them (counted under ``snapshot_failures``).  One that cannot
+        be read -- torn, flipped, truncated, or recording no inputs --
+        makes ``open`` raise :class:`DocError` and leaves the checkpoint
+        files as they are.
         """
         if name in self.docs:
             raise DocError(name, f"document {name!r} is already open")
@@ -376,9 +373,23 @@ class SessionPool:
         if self.checkpoint_dir is not None:
             snap, _wal = self._doc_paths(name)
             if os.path.exists(snap):
-                session = self._try_restore(name, app, doc_backend, doc_mode)
-                if session is None:
-                    data = self._checkpointed_data(name, app, data)
+                try:
+                    session = self._open_checkpoint(
+                        name, app, doc_mode, doc_backend
+                    )
+                except SnapshotMismatchError as exc:
+                    self.snapshot_failures += 1
+                    log.warning(
+                        "document %r: %s; opening on the given data", name, exc
+                    )
+                except (PersistError, OSError) as exc:
+                    raise DocError(
+                        name,
+                        f"checkpoint {snap} cannot be read, so its recorded "
+                        f"inputs are lost ({type(exc).__name__}: {exc}); "
+                        f"refusing an open that would drop acknowledged "
+                        f"edits (checkpoint files left in place)",
+                    ) from exc
         recovered = session is not None
         if session is None:
             session = Session(app, mode=doc_mode, backend=doc_backend)
@@ -399,7 +410,10 @@ class SessionPool:
             doc.journal = session.enable_journal(
                 wal, fsync=self.journal_fsync
             )
-            self._checkpoint(doc)
+            if not (recovered and doc.replayed == 0):
+                # (a reopened document with nothing replayed runs on
+                # exactly the inputs its checkpoint already records)
+                self._checkpoint(doc)
         self.docs[name] = doc
         self.opened += 1
         value = session.output
@@ -487,72 +501,41 @@ class SessionPool:
         base = os.path.join(self.checkpoint_dir, safe)
         return base + ".snap", base + ".wal"
 
-    def _try_restore(
+    def _open_checkpoint(
         self,
         name: str,
-        app: str,
-        backend: Optional[str],
+        app: Optional[str],
         mode: str,
-    ) -> Optional[Session]:
-        """Restore a session from the document's checkpoint, or ``None``.
+        backend: Optional[str],
+    ) -> Session:
+        """A fresh session run on the inputs the document's checkpoint
+        recorded.
 
-        Every persistence failure -- bad magic, failed CRC, truncated
-        section, program/backend/mode/Python mismatch -- returns ``None``
-        here and the caller cold-opens (see :meth:`_checkpointed_data`).
+        A checkpoint absorbs the journal it supersedes, so its inputs may
+        be the only copy of acknowledged edits.  Raises
+        :class:`SnapshotMismatchError` for a checkpoint of another app and
+        other ``PersistError``/``OSError`` when it cannot be read.  The
+        recorded backend applies unless ``backend`` overrides it or this
+        build lacks it.
         """
         snap, _wal = self._doc_paths(name)
-        try:
-            content = read_header(snap).get("content", {})
-            if content.get("app") != app or content.get("mode") != mode:
-                raise SnapshotMismatchError(
-                    f"checkpoint is for app={content.get('app')!r} "
-                    f"mode={content.get('mode')!r}, open requested "
-                    f"app={app!r} mode={mode!r}"
-                )
-            return Session.restore(snap, app, backend=backend)
-        except (PersistError, OSError) as exc:
-            self.snapshot_failures += 1
-            log.warning(
-                "document %r: checkpoint restore failed (%s: %s)",
-                name,
-                type(exc).__name__,
-                exc,
+        header, data = read_inputs(snap)
+        content = header.get("content", {})
+        if content.get("app") != app:
+            raise SnapshotMismatchError(
+                f"checkpoint records inputs of app {content.get('app')!r}, "
+                f"not {app!r}"
             )
-            return None
-
-    def _checkpointed_data(
-        self, name: str, app: str, data: Optional[Sequence[Any]]
-    ) -> Optional[Sequence[Any]]:
-        """Input data for a cold open after a failed restore.
-
-        A checkpoint absorbs the journal it supersedes, so its ``inputs``
-        section may be the only copy of acknowledged edits: cold-opening
-        on ``data``/seed instead would silently revert them.  Only a
-        checkpoint of a different app yields to ``data``; one whose
-        inputs are missing or damaged refuses the open.
-        """
-        snap, _wal = self._doc_paths(name)
-        try:
-            header, sections = read_snapshot(snap, names=("inputs",))
-        except (PersistError, OSError) as exc:
-            problem = f"{type(exc).__name__}: {exc}"
-        else:
-            if header.get("content", {}).get("app") != app:
-                return data
-            if "inputs" in sections:
-                return marshal.loads(sections["inputs"])
-            problem = "it records no inputs"
-        raise DocError(
-            name,
-            f"checkpoint {snap} cannot be restored and its recorded inputs "
-            f"are lost ({problem}); refusing a cold open that would drop "
-            f"acknowledged edits (checkpoint files left in place)",
-        )
+        if backend is None and content.get("backend") in BACKENDS:
+            backend = content["backend"]
+        session = Session(app, mode=mode, backend=backend)
+        session.run(data=data)
+        return session
 
     def _replay_into(self, doc: PooledDoc, wal: str) -> int:
         """Re-stage the journal's edits into the document's session.
 
-        Absolute values make replay idempotent (records the snapshot
+        Absolute values make replay idempotent (records the checkpoint
         already absorbed cut off on equality), a torn tail is the normal
         crash signature and is dropped, and corruption earlier in the
         file keeps the clean prefix -- every acknowledged-and-durable
@@ -590,12 +573,14 @@ class SessionPool:
         return applied
 
     def _checkpoint(self, doc: PooledDoc) -> bool:
-        """Cut a snapshot and truncate the absorbed journal (best effort).
+        """Cut a checkpoint and truncate the absorbed journal (best
+        effort).
 
         Runs at drain boundaries, so the engine is quiescent (staged
-        lazy edits are fine and round-trip).  Failure is contained: the
-        journal is retained, the previous snapshot file is untouched
-        (writes are atomic), and the document keeps serving.
+        lazy edits are fine: the input cells already hold them).  Failure
+        is contained: the journal is retained, the previous checkpoint
+        file is untouched (writes are atomic), and the document keeps
+        serving.
         """
         snap, _wal = self._doc_paths(doc.name)
         try:
@@ -652,13 +637,14 @@ class SessionPool:
             await self._drain_inline(doc)
 
     def _restore_doc(self, doc: PooledDoc) -> None:
-        """Recovery-ladder rung: replace the document's session with its
-        last checkpoint plus the journal suffix (raises ``PersistError``
-        when the checkpoint cannot be used; the caller escalates)."""
-        snap, wal = self._doc_paths(doc.name)
+        """Recovery-ladder rung: replace the document's session with one
+        reopened from its last checkpoint plus the journal suffix (raises
+        ``PersistError``/``OSError`` when the checkpoint cannot be used;
+        the caller escalates)."""
+        _snap, wal = self._doc_paths(doc.name)
         old = doc.session
-        app = old.app if old.app is not None else old.program
-        session = Session.restore(snap, app, backend=old.backend)
+        app = old.app.name if old.app is not None else None
+        session = self._open_checkpoint(doc.name, app, doc.mode, old.backend)
         old.disable_journal()
         doc.session = session
         doc.journal = None
@@ -737,7 +723,7 @@ class SessionPool:
         else:
             # Lazy documents may never be read; checkpoint on the edit
             # cadence too so the journal stays bounded (staged edits
-            # snapshot fine -- they round-trip as staged).
+            # checkpoint fine -- the input cells already hold them).
             self._maybe_checkpoint(doc)
         return {"doc": name, "dirtied": dirtied}
 
@@ -826,7 +812,7 @@ class SessionPool:
             await self._demand_sliced(doc, target=None, single=False)
         else:
             await self._await_drain(doc)
-        # Re-read after the drain: a restore-from-snapshot recovery
+        # Re-read after the drain: a reopen-from-checkpoint recovery
         # replaces the session object mid-drain.
         session = doc.session
         value = session.output
@@ -841,7 +827,7 @@ class SessionPool:
         chunks and recovering per-document on faults."""
         while True:
             doc.check_usable()
-            # Re-read each iteration: a restore-from-snapshot recovery
+            # Re-read each iteration: a reopen-from-checkpoint recovery
             # replaces the session object mid-demand.
             session = doc.session
             try:
@@ -948,8 +934,8 @@ class SessionPool:
         state and re-stages them for retry (a one-shot fault then drains
         clean on the next slice).  After ``max_rollbacks`` consecutive
         rollbacks -- or when the engine is poisoned -- escalate: first to
-        a **restore from the last checkpoint** (checkpointing pools only;
-        the snapshot is decoded into a fresh session, the journal suffix
+        a **reopen from the last checkpoint** (checkpointing pools only;
+        a fresh session runs on the recorded inputs, the journal suffix
         replayed, so no acknowledged edit is lost -- and it works even
         when the live engine is poisoned), then to a from-scratch
         rebuild, which replaces the engine and re-binds the wire
@@ -987,7 +973,7 @@ class SessionPool:
                     doc.snapshot_failures += 1
                     self.snapshot_failures += 1
                     log.warning(
-                        "document %r: restore-from-snapshot failed "
+                        "document %r: reopen-from-checkpoint failed "
                         "(%s: %s); escalating to rebuild",
                         doc.name,
                         type(restore_exc).__name__,

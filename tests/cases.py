@@ -1,12 +1,11 @@
 """Execution cases for tests that run one scenario per backend.
 
-``interp`` and ``stack`` are the two backends.  ``compiled`` is the
-stack machine on a session rebuilt from its own checkpoint right after
-the initial run: the staged pure segments of ``repro.compile.closures``
-are compiled Python lambdas, a snapshot stores their code, and the codec
-rebinds their globals by module at restore.  The scenario that follows
-then runs on compiled code that came back through the codec, as every
-document a ``SessionPool`` reopens does.
+``interp`` and ``stack`` are the two backends.  ``compiled`` means
+"reopened from its checkpoint": a stack session checkpointed right after
+the initial run and restored from that file, which runs the app from
+scratch on the recorded inputs and rebinds the handles and counters.  The
+scenario that follows then runs on a session built the way every
+document a ``SessionPool`` reopens is.
 """
 
 import os
@@ -18,7 +17,7 @@ CASES = ["interp", "compiled", "stack"]
 
 
 def checkpointed(session):
-    """Snapshot ``session`` and return the session restored from it."""
+    """Checkpoint ``session`` and return the session reopened from it."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "session.snap")
         session.snapshot(path)

@@ -289,8 +289,9 @@ def test_hazard_unwind_with_oracle():
 
 def test_snapshot_restore_demand_roundtrip(tmp_path):
     """Snapshot mid-laziness (staged suspects, live summaries), restore,
-    demand: the restored engine's summaries must be as sound as the
-    saved one's -- enforced by restoring with the oracle env flag on."""
+    demand: the restored session ran from scratch on the staged inputs,
+    and its summaries must stay sound (the oracle flag checks every
+    verdict) while it agrees with the saved session once that demands."""
     app = REGISTRY["qsort"]
     rng = random.Random(19)
     session = Session(app, mode="lazy", feeds="summary")

@@ -1,23 +1,28 @@
 """Durability (DESIGN.md Section 10): snapshots, journals, restores.
 
-The headline property is *meter-exact restoration*: a session saved to
-disk and decoded into a fresh process must not only compute the same
-values afterwards, it must do the same **work** -- identical meter
-counters after identical post-restore edit streams, across both
-backends and both propagation modes, including snapshots taken with
-lazy edits staged but unpropagated.  The rest covers the file format's
-typed failure model (corrupt/mismatched snapshots never half-restore),
-the write-ahead journal's replay semantics (torn tails dropped, corrupt
-prefix preserved, replay idempotent), and the end-to-end crash story:
-snapshot + journal suffix reproduces every acknowledged edit.
+A checkpoint records a session's inputs, not its trace, so the headline
+property is that a restored session *is* a from-scratch run on the
+recorded inputs: the same values and the same meter counters as a fresh
+session run on them, at the restore point and after identical edit
+streams, across both backends and both propagation modes, including
+snapshots taken with lazy edits staged but unpropagated -- and the same
+values as the session that was saved.  The rest covers the file
+format's typed failure model (corrupt/mismatched snapshots never
+half-restore), the write-ahead journal's replay semantics (torn tails
+dropped, corrupt prefix preserved, replay idempotent), and the
+end-to-end crash story: snapshot + journal suffix reproduces every
+acknowledged edit.
 """
 
 import logging
 import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.api import Session, values_close
 from repro.apps import REGISTRY
 from repro.persist import (
@@ -28,9 +33,9 @@ from repro.persist import (
     SnapshotCorruptError,
     SnapshotFormatError,
     SnapshotMismatchError,
+    SnapshotStateError,
     FORMAT_VERSION,
     inspect_snapshot,
-    program_key,
     read_header,
     replay_journal,
 )
@@ -65,14 +70,23 @@ def _bind_cells(session):
     return handles
 
 
+def _fresh_on_recorded_inputs(session):
+    """A never-checkpointed session run on ``session``'s current inputs."""
+    twin = Session(session.app, backend=session.backend, mode=session.mode)
+    twin.run(data=session.app.handle_data(session.input_handle))
+    return twin
+
+
 # ----------------------------------------------------------------------
-# Meter-exact restore, every backend x mode
+# Restore == a fresh run on the recorded inputs, every backend x mode
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("mode", MODES)
 def test_restore_is_meter_exact_under_random_edits(tmp_path, backend, mode):
-    """save -> restore -> k random edits: identical meters and outputs."""
+    """save -> restore -> k random edits: the restored session matches a
+    fresh run on the recorded inputs in meters and values, and the live
+    session in values."""
     app_name = "msort"
     session, app, rng = _run_session(app_name, 16, 7, backend, mode)
     for step in range(2):
@@ -85,35 +99,36 @@ def test_restore_is_meter_exact_under_random_edits(tmp_path, backend, mode):
     restored = Session.restore(path, app_name)
     assert restored.backend == session.backend
     assert restored.mode == session.mode
+    fresh = _fresh_on_recorded_inputs(session)
 
     # Identical meters at the restore point...
-    assert (
-        restored.engine.meter.snapshot() == session.engine.meter.snapshot()
+    assert restored.engine.meter.snapshot() == fresh.engine.meter.snapshot()
+    assert values_close(
+        app.readback(restored.output), app.readback(session.output)
     )
-    # ...and after an identical stream of further random edits.  The two
-    # sessions share no state, so this holds only if the restored trace
-    # (order, queue, memo table, closures) is behaviourally identical.
-    rng_live = random.Random(99)
-    rng_rest = random.Random(99)
+    # ...and after an identical stream of further random edits, which
+    # the live session takes too.
+    rngs = [random.Random(99) for _ in range(3)]
     for step in range(4):
-        app.apply_change(session.input_handle, rng_live, step)
-        app.apply_change(restored.input_handle, rng_rest, step)
-        _settle(session)
-        _settle(restored)
+        for twin, twin_rng in zip((session, fresh, restored), rngs):
+            app.apply_change(twin.input_handle, twin_rng, step)
+            _settle(twin)
         assert values_close(
-            app.readback(session.output), app.readback(restored.output)
+            app.readback(restored.output), app.readback(fresh.output)
         )
-    assert (
-        restored.engine.meter.snapshot() == session.engine.meter.snapshot()
-    )
+        assert values_close(
+            app.readback(restored.output), app.readback(session.output)
+        )
+    assert restored.engine.meter.snapshot() == fresh.engine.meter.snapshot()
     expected = app.reference(app.handle_data(restored.input_handle))
     assert values_close(app.readback(restored.output), expected)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_lazy_snapshot_round_trips_staged_edits(tmp_path, backend):
-    """A lazy session with staged-but-unpropagated edits snapshots, and
-    the restored session owes exactly the same deferred work."""
+    """A lazy session with staged-but-unpropagated edits snapshots; the
+    restored session ran on the edited inputs, so it owes no deferred
+    work and matches both a fresh run on them and the demanded original."""
     session, app, rng = _run_session("msort", 16, 3, backend, "lazy")
     app.apply_change(session.input_handle, rng, 0)
     app.apply_change(session.input_handle, rng, 1)
@@ -122,16 +137,17 @@ def test_lazy_snapshot_round_trips_staged_edits(tmp_path, backend):
     path = str(tmp_path / "staged.snap")
     session.snapshot(path)
     restored = Session.restore(path, "msort")
-    assert len(restored.engine.queue) == len(session.engine.queue)
+    assert not restored.engine.queue
+    fresh = _fresh_on_recorded_inputs(session)
+    assert restored.engine.meter.snapshot() == fresh.engine.meter.snapshot()
 
     session.demand()
     restored.demand()
     assert values_close(
         app.readback(restored.output), app.readback(session.output)
     )
-    assert (
-        restored.engine.meter.snapshot() == session.engine.meter.snapshot()
-    )
+    expected = app.reference(app.handle_data(restored.input_handle))
+    assert values_close(app.readback(restored.output), expected)
 
 
 def test_snapshot_preserves_handles_and_session_counters(tmp_path):
@@ -145,6 +161,7 @@ def test_snapshot_preserves_handles_and_session_counters(tmp_path):
     restored = Session.restore(path, SCALAR_APP)
     assert set(restored.handles()) == set(session.handles())
     assert restored.get("cell:2") == 5.5
+    assert restored.resolve("cell:2") is restored.input_handle.mods[2]
     assert restored.propagations == session.propagations
     # The handle registry is live, not just present: edits through it work.
     assert restored.edit("cell:2", -1.0) >= 0
@@ -163,6 +180,24 @@ def test_snapshot_requires_quiescence(tmp_path):
             session.snapshot(path)
     session.propagate()
     session.snapshot(path)  # quiescent again: fine
+
+
+def test_snapshot_refuses_sessions_it_cannot_describe(tmp_path):
+    """A checkpoint is an app's input data plus handles naming input
+    cells or the output: anything else is refused before writing."""
+    path = str(tmp_path / "x.snap")
+    session, _app, _rng = _run_session(SCALAR_APP, 8, 0, "interp", "eager")
+    session.handle(session.output, "out")
+    session.handle(session.engine.make_input(1.0), "stray")
+    with pytest.raises(SnapshotStateError, match="stray"):
+        session.snapshot(path)
+    assert not os.path.exists(path)
+
+    source = Session("val main : int $C -> int $C = fn x => x + 1")
+    source.run(source.make_input(3))
+    with pytest.raises(SnapshotStateError, match="app-backed"):
+        source.snapshot(path)
+    assert not os.path.exists(path)
 
 
 # ----------------------------------------------------------------------
@@ -199,23 +234,51 @@ def test_corrupt_snapshot_raises_typed_errors(tmp_path):
 
 
 def test_mismatched_snapshot_refused(tmp_path):
-    _session, path = _saved(tmp_path)
-    # Different program: the content address catches it before decode.
-    with pytest.raises(SnapshotMismatchError):
+    session, path = _saved(tmp_path)
+    # Another app's inputs are refused before anything runs.
+    with pytest.raises(SnapshotMismatchError, match="'msort'.*'qsort'"):
         Session.restore(path, "qsort")
-    # Different backend, same program text: also part of the address.
-    with pytest.raises(SnapshotMismatchError):
-        Session.restore(path, "msort", backend="stack")
+    # Another backend is no mismatch: it runs on the recorded inputs.
+    app = REGISTRY["msort"]
+    other = Session.restore(path, "msort", backend="stack")
+    assert other.backend == "stack"
+    assert values_close(
+        app.readback(other.output), app.readback(session.output)
+    )
 
 
-def test_program_key_covers_backend_and_mode():
-    s1 = Session(REGISTRY["msort"], backend="interp", mode="eager")
-    keys = {
-        program_key(s1.program, "interp", "eager"),
-        program_key(s1.program, "interp", "lazy"),
-        program_key(s1.program, "stack", "eager"),
-    }
-    assert len(keys) == 3
+def test_restore_does_not_depend_on_compile_order(tmp_path, monkeypatch):
+    """A checkpoint written by a process that compiled only msort restores
+    in one that compiled another app first (compilation draws fresh names
+    from process-wide counters, so the compiled text differs)."""
+    path = str(tmp_path / "order.snap")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    script = (
+        "import random, sys\n"
+        "from repro.api import Session\n"
+        "from repro.apps import REGISTRY\n"
+        "app = REGISTRY['msort']\n"
+        "s = Session(app, backend='stack')\n"
+        "s.run(data=app.make_data(16, random.Random(2)))\n"
+        "app.apply_change(s.input_handle, random.Random(3), 0)\n"
+        "s.propagate()\n"
+        "s.snapshot(sys.argv[1])\n"
+        "print(repr(app.readback(s.output)))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script, path],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    saved = eval(done.stdout.strip())
+
+    for name in ("vec-reduce", "msort"):  # compile both again, in this order
+        monkeypatch.setattr(REGISTRY[name], "_cache", {})
+    Session("vec-reduce")
+    restored = Session.restore(path)
+    app = REGISTRY["msort"]
+    assert app.readback(restored.output) == saved
+    assert saved == app.reference(app.handle_data(restored.input_handle))
 
 
 def test_inspect_and_header_do_not_decode(tmp_path):
@@ -223,12 +286,10 @@ def test_inspect_and_header_do_not_decode(tmp_path):
     info = inspect_snapshot(path)
     assert info["format"] == FORMAT_VERSION
     assert info["content"]["app"] == "msort"
-    assert info["content"]["program_key"] == program_key(
-        session.program, session.backend, session.mode
-    )
-    assert info["meta"]["stamps"] == session.engine.order.n_live
+    assert info["content"]["backend"] == session.backend
+    assert info["counters"]["propagations"] == session.propagations
     header = read_header(path)
-    assert [s["name"] for s in header["sections"]] == ["inputs", "objects"]
+    assert [s["name"] for s in header["sections"]] == ["inputs"]
 
 
 # ----------------------------------------------------------------------
@@ -456,8 +517,10 @@ def test_raytracer_snapshot_round_trip(tmp_path, backend):
     path = str(tmp_path / "rt.snap")
     session.snapshot(path)
     restored = Session.restore(path, "raytracer")
-    assert (
-        restored.engine.meter.snapshot() == session.engine.meter.snapshot()
+    fresh = _fresh_on_recorded_inputs(session)
+    assert restored.engine.meter.snapshot() == fresh.engine.meter.snapshot()
+    assert values_close(
+        app.readback(restored.output), app.readback(session.output)
     )
     app.apply_change(session.input_handle, rng, 1)
     app.apply_change(restored.input_handle, random.Random(1), 1)

@@ -444,14 +444,15 @@ def test_server_error_surfaces_doc_failure_to_client():
 
 
 # ----------------------------------------------------------------------
-# Durability: checkpoints, warm restarts, degraded opens, quotas, frames
+# Durability: checkpoints, restarts, refused opens, quotas, frames
 
 
 @pytest.mark.parametrize("mode", ["eager", "lazy"])
 def test_pool_warm_restart_recovers_checkpointed_state(tmp_path, mode):
     """Stop a checkpointing pool, boot a fresh one on the same directory:
-    the document comes back warm (snapshot restored, nothing replayed)
-    and oracle-consistent, ignoring the cold-open seed arguments."""
+    the document comes back recovered (run on the checkpoint's inputs,
+    nothing replayed) and oracle-consistent, ignoring the seed
+    arguments."""
 
     async def main():
         pool = SessionPool(mode=mode, checkpoint_dir=str(tmp_path))
@@ -479,10 +480,10 @@ def test_pool_warm_restart_recovers_checkpointed_state(tmp_path, mode):
 
 
 def test_pool_default_backend_restores_interp_checkpoints(tmp_path, monkeypatch):
-    """Checkpoints written by a pool on ``backend="interp"`` reopen warm
-    under a default ``SessionPool()``: a snapshot names its own backend,
-    so the documents come back on ``interp`` with no cold rebuild, while
-    a new document lands on the default ``stack``."""
+    """Checkpoints written by a pool on ``backend="interp"`` reopen
+    under a default ``SessionPool()``: a checkpoint names its own backend,
+    so the documents come back on ``interp``, while a new document lands
+    on the default ``stack``."""
     monkeypatch.delenv("REPRO_BACKEND", raising=False)
 
     async def main():
@@ -540,28 +541,27 @@ def test_pool_replays_journal_suffix_after_simulated_kill(tmp_path):
     asyncio.run(main())
 
 
-def test_pool_corrupt_snapshot_degrades_to_cold_open(tmp_path):
-    """A corrupted snapshot is detected, counted, and degraded around: the
-    document cold-opens and still replays the journal suffix, so the
-    acknowledged edits survive even though the snapshot did not."""
+def test_pool_corrupt_checkpoint_refuses_open(tmp_path):
+    """A checkpoint is the only copy of the inputs it recorded, so a
+    corrupted one refuses the open with a DocError: no silent revert to
+    the seed data, the checkpoint and journal stay byte-identical, and a
+    sibling document still opens."""
     from repro.obs.faults import corrupt_file
 
     async def main():
         pool = SessionPool(mode="lazy", checkpoint_dir=str(tmp_path))
         pool.open("doc", app="vec-reduce", n=16, seed=3)
         await pool.edit("doc", "cell:1", 99.5)
-        snap, _wal = pool._doc_paths("doc")
+        snap, wal = pool._doc_paths("doc")
         corrupt_file(snap, "flip-byte", seed=5)
+        files = (open(snap, "rb").read(), open(wal, "rb").read())
 
         reborn = SessionPool(mode="lazy", checkpoint_dir=str(tmp_path))
-        info = reborn.open("doc", app="vec-reduce", n=16, seed=3)
-        assert info["recovered"] is False
-        assert info["replayed"] == 1  # the journal suffix still won
-        assert reborn.snapshot_failures == 1
-        assert (await reborn.get("doc", "cell:1"))["value"] == 99.5
-        got = await reborn.demand("doc")
-        assert values_close(got["value"], _expected(reborn, "doc"))
-        # The degraded open did not poison the pool: a sibling opens fine.
+        with pytest.raises(DocError, match="recorded inputs are lost"):
+            reborn.open("doc", app="vec-reduce", n=16, seed=3)
+        assert "doc" not in reborn.docs
+        assert (open(snap, "rb").read(), open(wal, "rb").read()) == files
+        # The refused open did not poison the pool: a sibling opens fine.
         reborn.open("doc2", app="vec-reduce", n=8, seed=1)
         got = await reborn.demand("doc2")
         assert values_close(got["value"], _expected(reborn, "doc2"))
@@ -597,20 +597,28 @@ def _rewrite_snapshot(path, *, header_backend=None, drop=()):
 
 @pytest.mark.parametrize("kind", ["flip-byte", "truncate-tail"])
 def test_pool_cold_open_keeps_edits_the_checkpoint_absorbed(tmp_path, kind):
-    """A checkpoint that cannot be restored must not silently revert the
-    acknowledged edits it absorbed: the cold open runs on the inputs the
-    checkpoint recorded, not on the seed data."""
+    """A damaged checkpoint must not silently revert the acknowledged
+    edits it absorbed: the open is refused with the files left as they
+    were, and with the intact file back the document reopens on them."""
     from repro.obs.faults import corrupt_file
 
     async def main():
-        snap, _wal, before = await _checkpoint_absorbed_edit(tmp_path)
+        snap, wal, before = await _checkpoint_absorbed_edit(tmp_path)
+        intact = open(snap, "rb").read()
         corrupt_file(snap, kind, seed=0)
+        damaged = open(snap, "rb").read()
 
         reborn = SessionPool(mode="eager", checkpoint_dir=str(tmp_path))
+        with pytest.raises(DocError, match="recorded inputs are lost"):
+            reborn.open("d", app="vec-reduce", n=8, seed=0)
+        assert "d" not in reborn.docs
+        assert open(snap, "rb").read() == damaged
+        assert os.path.getsize(wal) == 0
+        reborn.open("sibling", app="vec-reduce", n=8, seed=1)
+
+        open(snap, "wb").write(intact)
         info = reborn.open("d", app="vec-reduce", n=8, seed=0)
-        assert info["recovered"] is False
-        assert info["replayed"] == 0
-        assert reborn.snapshot_failures == 1
+        assert info["recovered"] is True
         assert values_close(info["value"], before)
         assert (await reborn.get("d", "cell:0"))["value"] == 5.0
         assert values_close(info["value"], _expected(reborn, "d"))
@@ -620,15 +628,15 @@ def test_pool_cold_open_keeps_edits_the_checkpoint_absorbed(tmp_path, kind):
 
 
 def test_pool_refuses_cold_open_when_checkpoint_inputs_are_lost(tmp_path):
-    """Damage that reaches the recorded inputs too is a typed DocError,
-    and the checkpoint files stay exactly as they were."""
+    """Damage that reaches the recorded inputs is a typed DocError, and
+    the checkpoint files stay exactly as they were."""
 
     async def main():
         snap, wal, _before = await _checkpoint_absorbed_edit(tmp_path)
         header = read_header(snap)
         blob = open(snap, "rb").read()
         names = [s["name"] for s in header["sections"]]
-        assert names == ["inputs", "objects"]
+        assert names == ["inputs"]
         # Flip the first byte of the inputs section (it follows the header).
         i = blob.index(b"\n", len(MAGIC)) + 1
         damaged = blob[:i] + bytes([blob[i] ^ 0x40]) + blob[i + 1 :]
@@ -644,10 +652,32 @@ def test_pool_refuses_cold_open_when_checkpoint_inputs_are_lost(tmp_path):
     asyncio.run(main())
 
 
+def test_pool_reopen_with_nothing_to_replay_keeps_the_checkpoint(tmp_path):
+    """A document reopened with an empty journal runs on exactly the
+    inputs its checkpoint records, so the open writes no new one."""
+
+    async def main():
+        snap, _wal, before = await _checkpoint_absorbed_edit(tmp_path)
+        blob = open(snap, "rb").read()
+        mtime = os.stat(snap).st_mtime_ns
+
+        reborn = SessionPool(mode="eager", checkpoint_dir=str(tmp_path))
+        info = reborn.open("d", app="vec-reduce", n=8, seed=0)
+        assert (info["recovered"], info["replayed"]) == (True, 0)
+        assert values_close(info["value"], before)
+        assert reborn.checkpoints == 0
+        await reborn.stop()
+        assert open(snap, "rb").read() == blob
+        assert os.stat(snap).st_mtime_ns == mtime
+
+    asyncio.run(main())
+
+
 def test_pool_checkpoint_naming_a_removed_backend(tmp_path):
     """A checkpoint whose header names a backend this build lacks is a
-    snapshot mismatch: with recorded inputs it cold-opens on them, and
-    without them the open is refused -- never a bare ValueError."""
+    snapshot mismatch for ``Session.restore``, but its inputs are still
+    good: a pool reopens the document on its own backend.  Without
+    recorded inputs the open is refused -- never a bare ValueError."""
     removed = "compiled"  # the closure backend, no longer in BACKENDS
 
     async def main():
@@ -658,7 +688,7 @@ def test_pool_checkpoint_naming_a_removed_backend(tmp_path):
 
         reborn = SessionPool(mode="eager", checkpoint_dir=str(tmp_path))
         info = reborn.open("d", app="vec-reduce", n=8, seed=0)
-        assert info["recovered"] is False
+        assert info["recovered"] is True
         assert info["backend"] != removed
         assert values_close(info["value"], before)
         await reborn.stop()
@@ -675,7 +705,7 @@ def test_pool_checkpoint_naming_a_removed_backend(tmp_path):
 
 def test_pool_recovery_ladder_uses_restore_rung(tmp_path):
     """A persistent fault exhausts the rollback budget; with a checkpoint
-    on disk the pool restores from the snapshot (shedding the faulting
+    on disk the pool reopens the document from it (shedding the faulting
     hook with it) instead of rebuilding from scratch."""
 
     async def main():
