@@ -11,18 +11,19 @@ three configurations:
 * **event log** -- a full :class:`repro.obs.events.EventLog` recording
   structured events.
 
-The *disabled* configuration is measured as interleaved a/b pairs.  Each
-side of a pair is a few identical sessions that take the same initial
-run and the same changes in lockstep, one operation at a time across all
-sessions of both sides, and a side's time for an operation is its
-fastest session's.  A shared host's bursts then hit both sides alike
-instead of landing on one whole run.  The median over pairs of
-``|a - b| / min(a, b)`` is the measurement noise floor, and the
-acceptance target is that the disabled configuration is
-indistinguishable from itself within that floor (<5% on the initial-run
-plus propagation aggregate, allowing for timer noise).
-A no-op hook is expected to cost real time (one Python call per event) --
-that cost is what the ``hook is None`` guard avoids.
+Every configuration is measured against *disabled* as interleaved a/b
+pairs.  Each side of a pair is a few identical sessions (side b with the
+configuration's hook attached) that take the same initial run and the
+same changes in lockstep, one operation at a time across all sessions of
+both sides, and a side's time for an operation is its fastest session's.
+A shared host's bursts then hit both sides alike instead of landing on
+one whole run.  A row's ratio is the median over its pairs of ``b / a``.
+The disabled-vs-disabled pairs give the measurement noise floor, the
+median of ``|a - b| / min(a, b)``, and the acceptance target is that the
+disabled configuration is indistinguishable from itself within that
+floor (<5% on the initial-run plus propagation aggregate, allowing for
+timer noise).  A no-op hook is expected to cost real time (one Python
+call per event) -- that cost is what the ``hook is None`` guard avoids.
 """
 
 import os
@@ -42,35 +43,24 @@ N = int(os.environ.get("REPRO_OBS_OVERHEAD_N", "400"))
 PROP_SAMPLES = 16
 
 
-ROUNDS = 3
 #: interleaved disabled a/b pairs behind the noise floor
 PAIRS = 5
+#: interleaved pairs per hook configuration
+HOOK_PAIRS = 3
 #: lockstep sessions per side of a pair
 SIDE_SESSIONS = 3
 
 
-def _measure(hook):
-    row = measure_app(
-        REGISTRY["msort"],
-        N,
-        prop_samples=PROP_SAMPLES,
-        seed=1,
-        repeats=1,
-        skip_conventional=True,
-        hook=hook,
-    )
-    return row.sa_run + row.avg_prop * PROP_SAMPLES
-
-
-def _disabled_pair():
-    """One a/b pair of the disabled configuration: the initial run and
-    ``PROP_SAMPLES`` changes of :func:`_measure`, timed the same way
-    (collector off), interleaved operation by operation."""
+def _pair(make_hook):
+    """One interleaved a/b pair: the initial run and ``PROP_SAMPLES``
+    changes, timed with the collector off, operation by operation.  Side
+    a runs with no hook; side b attaches ``make_hook()`` to each session
+    (``None``: no hook either, the noise-floor pair)."""
     app = REGISTRY["msort"]
     runs = []
-    for _ in range(2 * SIDE_SESSIONS):
+    for k in range(2 * SIDE_SESSIONS):
         rng = random.Random(1)
-        session = Session(app)
+        session = Session(app, hook=make_hook() if k % 2 else None)
         session.prepare(app.make_data(N, rng))
         runs.append((session, rng))
     totals = [0.0, 0.0]
@@ -101,35 +91,41 @@ def test_obs_overhead_msort(benchmark, capsys):
         measure_app(  # warm-up: compile, caches, recursion limit
             REGISTRY["msort"], N, prop_samples=2, seed=1, skip_conventional=True
         )
-        # Interleave rounds and keep the per-config minimum: the minimum is
-        # the standard robust estimator under one-sided timing noise.
-        pairs = []
-        best = {name: float("inf") for name in configs}
+        pairs = {name: [] for name in configs}
         for i in range(PAIRS):
-            pairs.append(_disabled_pair())
-            if i < ROUNDS:
-                for name, make in configs.items():
-                    best[name] = min(best[name], _measure(make()))
-        return pairs, best
+            for name, make in configs.items():
+                if name == "disabled" or i < HOOK_PAIRS:
+                    pairs[name].append(_pair(make))
+        return pairs
 
-    pairs, times = once(benchmark, run)
+    pairs = once(benchmark, run)
 
-    base = times["disabled"]
+    noise = statistics.median(
+        abs(a - b) / min(a, b) for a, b in pairs["disabled"]
+    )
+    ratios = {
+        name: statistics.median(b / a for a, b in runs)
+        for name, runs in pairs.items()
+    }
     lines = [
-        f"msort n={N}, initial run + {PROP_SAMPLES} propagations "
-        f"(min of {ROUNDS} rounds):"
+        f"msort n={N}, initial run + {PROP_SAMPLES} propagations, each "
+        f"config against disabled as interleaved lockstep pairs "
+        f"({SIDE_SESSIONS} sessions a side; median over pairs):"
     ]
-    for name, seconds in times.items():
-        lines.append(f"  {name:<14} {seconds:8.4f}s  ({seconds / base:5.2f}x)")
-    noise = statistics.median(abs(a - b) / min(a, b) for a, b in pairs)
+    for name, runs in pairs.items():
+        seconds = statistics.median(b for _a, b in runs)
+        lines.append(
+            f"  {name:<14} {seconds:8.4f}s  ({ratios[name]:5.2f}x, "
+            f"{len(runs)} pairs; noise floor {noise:.1%})"
+        )
     lines.append(
         f"  disabled-vs-disabled spread (noise floor, median of {PAIRS} "
-        f"interleaved pairs, {SIDE_SESSIONS} sessions a side): {noise:.1%}"
+        f"interleaved pairs): {noise:.1%}"
     )
     emit(capsys, "Observability overhead", "\n".join(lines))
 
     # The disabled hook must be free up to measurement noise (<5% target);
     # the noop hook pays one Python call per event and must stay moderate.
     assert noise < 0.05, "hook-disabled overhead exceeds the 5% target"
-    assert times["noop hook"] < 3.0 * base
-    assert times["event log"] < 10.0 * base
+    assert ratios["noop hook"] < 3.0
+    assert ratios["event log"] < 10.0

@@ -82,7 +82,7 @@ def ddg_snapshot(engine: Any, values: bool = True) -> Dict[str, Any]:
                     "parent": parent,
                 }
                 memos.append(rec)
-            if owner.end is not None:
+            if owner.end is not None and owner.end is not node:
                 end_map[id(owner.end)] = rec
                 stack.append(rec)
         node = node.next

@@ -6,7 +6,8 @@ maintains a well-formed trace.  The properties the proof leans on are
 checkable in one walk of the timestamp order:
 
 1. **Timestamp monotonicity** -- labels strictly increase along the list
-   and every interval satisfies ``start < end``.
+   and every interval satisfies ``start < end``, except a leaf read's
+   empty interval, which closes on its own start (``end is start``).
 2. **Interval nesting** -- read-edge and memo-entry intervals form a
    properly nested forest (no partial overlap); equivalently the trace is
    a well-parenthesized string of starts and ends.
@@ -112,6 +113,8 @@ def check_trace(
                     raise InvariantViolation(
                         f"unfinished interval for {owner!r} in a quiescent trace"
                     )
+            elif end is node and type(owner).__name__ == "ReadEdge":
+                pass  # a leaf read: empty interval closed on its start
             else:
                 if not end.live:
                     raise InvariantViolation(f"{owner!r} has a dead end stamp")

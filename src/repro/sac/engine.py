@@ -606,7 +606,12 @@ class Engine:
                     reads[rkey] = depth
                 else:
                     del reads[rkey]
-        edge.end = self.now = insert_after(self.now)
+        # A leaf read -- its body recorded nothing -- closes on its own
+        # start stamp: an empty interval costs no end stamp.
+        now = self.now
+        if now is not start:
+            now = self.now = insert_after(now)
+        edge.end = now
         if hook is not None:
             hook.on_read_end(edge)
 
@@ -1374,7 +1379,10 @@ class Engine:
                 reads[rkey] = depth
             else:
                 del reads[rkey]
-        edge.end = self.now = self._insert_after(self.now)
+        now = self.now
+        if now is not edge.start:
+            now = self.now = self._insert_after(now)
+        edge.end = now
         if self.hook is not None:
             self.hook.on_read_end(edge)
 
@@ -1984,8 +1992,11 @@ class Engine:
                     # _DemandStaleRead backstop and throw the whole
                     # partial re-execution away.
                     widened = False
-                    node = edge.start.next
                     interval_end = edge.end
+                    node = (
+                        None if interval_end is edge.start
+                        else edge.start.next
+                    )
                     while node is not None and node is not interval_end:
                         owner = node.owner
                         if (
@@ -2031,10 +2042,23 @@ class Engine:
                         self._reexec_depth -= 1
                         dest_stack.pop()
                     # Discard whatever old trace was neither re-created
-                    # nor spliced.  Inside the protected region: skipping
+                    # nor spliced, and re-decide the leaf shape: the edge
+                    # keeps an end stamp only while its body records
+                    # something.  Inside the protected region: skipping
                     # this splice-out would silently corrupt the DDG, so a
                     # failure here must go through the same abort path.
-                    self._delete_range(self.now, edge.end)
+                    now, start, end = self.now, edge.start, edge.end
+                    if end is start:
+                        if now is not start:
+                            edge.end = self._insert_after(now)
+                    elif now is start:
+                        self._delete_range(start, end.next)
+                        edge.end = start
+                    else:
+                        self._delete_range(now, end)
+                    if saved_now is end:
+                        # The cursor was parked on this interval's end.
+                        saved_now = edge.end
                 except BaseException as exc:
                     if isinstance(exc, _DemandStaleRead):
                         # The reader is chasing a stale loop.  Widen the
@@ -2050,7 +2074,10 @@ class Engine:
                         meter.demand_hazards += 1
                         hazards += 1
                         feeds[exc.mod] = True
-                        node = self.now.next
+                        node = (
+                            None if edge.end is edge.start
+                            else self.now.next
+                        )
                         while node is not None and node is not edge.end:
                             owner = node.owner
                             if (
@@ -2203,10 +2230,11 @@ class Engine:
         poisoned and False returned.
         """
         try:
-            if keep_remainder:
+            if keep_remainder or edge.end is edge.start:
                 # Everything from the interval start through the cursor is
                 # partial new trace (with the reused splices it swallowed);
-                # self.now.next starts the well-formed old remainder.
+                # self.now.next starts the well-formed old remainder, which
+                # a leaf's empty old interval does not have.
                 self._delete_range(edge.start, self.now.next)
             else:
                 self._delete_range(edge.start, edge.end)

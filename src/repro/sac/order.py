@@ -19,10 +19,14 @@ Insertion bisects the local gap between neighbours.  When a bucket's local
 label space is exhausted its ≤ ``BUCKET_CAPACITY`` stamps are respread
 across the full local range -- an O(1) *amortized* relabel, because the
 respread opens gaps of ``LOCAL_MAX / (capacity + 1)`` (many halvings wide)
-and touches a bounded number of stamps.  A full bucket splits in two.  Only
-the top level -- with n / capacity entries -- ever runs the classic
-list-labeling window relabel, making relabel storms asymptotically rarer
-than in the flat scheme this replaces.
+and touches a bounded number of stamps.  A full bucket splits at the
+insertion point: the stamps after ``s`` move, locals unchanged, to a fresh
+successor bucket (neither half is respread) and ``s`` ends its bucket, so
+the forward run that a re-execution inserts after its advancing cursor
+appends into the freed tail and then into fresh buckets.  Only the top
+level -- with n / capacity entries -- ever runs the classic list-labeling
+window relabel, making relabel storms asymptotically rarer than in the flat
+scheme this replaces.
 
 Every operation that changes an existing stamp's cached key (respread,
 split, top-level relabel) bumps :attr:`Order.epoch`.  Consumers that
@@ -176,7 +180,7 @@ class Order:
                     local = LOCAL_GAP
             else:
                 if bucket.count >= BUCKET_CAPACITY:
-                    self._split(bucket)
+                    self._move_tail(s)
                     continue
                 # Asymmetric bisection: change propagation inserts
                 # monotonically *forward* after an advancing cursor, so
@@ -229,24 +233,23 @@ class Order:
             node.key = high | local
             node = node.next
 
-    def _split(self, bucket: Bucket) -> None:
-        """Move the upper half of a full bucket into a fresh successor."""
+    def _move_tail(self, s: Stamp) -> None:
+        """Split ``s``'s full bucket after ``s`` (see the module docstring)."""
+        self.n_relabels += 1
+        self.epoch += 1
+        bucket = s.bucket
         new_bucket = self._bucket_after(bucket)
-        keep = bucket.count - (bucket.count >> 1)
-        node = bucket.first
-        for _ in range(keep - 1):
-            node = node.next
-        moved = node.next
+        high = new_bucket.high
+        moved = s.next
         new_bucket.first = moved
         count = 0
         while moved is not None and moved.bucket is bucket:
             moved.bucket = new_bucket
+            moved.key = high | moved.local
             count += 1
             moved = moved.next
-        bucket.count = keep
+        bucket.count -= count
         new_bucket.count = count
-        self._respace(bucket)
-        self._respace(new_bucket)
 
     def _bucket_after(self, bucket: Bucket) -> Bucket:
         """Insert and return a fresh empty bucket right after ``bucket``."""
@@ -340,19 +343,22 @@ class Order:
                 nxt if nxt is not None and nxt.bucket is bucket else None
             )
         if bucket.count == 0 and bucket is not self._base_bucket:
-            bprev, bnxt = bucket.prev, bucket.next
-            bprev.next = bnxt
-            if bnxt is None:
-                self._last_bucket = bprev
-            else:
-                bnxt.prev = bprev
-            bucket.prev = None
-            bucket.next = None
-            self.n_buckets -= 1
+            self._unlink_bucket(bucket)
         self.n_live -= 1
         pool = self._pool
         if len(pool) < POOL_CAP:
             pool.append(s)
+
+    def _unlink_bucket(self, bucket: Bucket) -> None:
+        bprev, bnxt = bucket.prev, bucket.next
+        bprev.next = bnxt
+        if bnxt is None:
+            self._last_bucket = bprev
+        else:
+            bnxt.prev = bprev
+        bucket.prev = None
+        bucket.next = None
+        self.n_buckets -= 1
 
     def delete_range(self, a: Stamp, b: Optional[Stamp]) -> None:
         """Remove every stamp strictly between ``a`` and ``b`` (one splice).
@@ -385,15 +391,7 @@ class Order:
                     nxt if nxt is not None and nxt.bucket is bucket else None
                 )
             if bucket.count == 0 and bucket is not base_bucket:
-                bprev, bnxt = bucket.prev, bucket.next
-                bprev.next = bnxt
-                if bnxt is None:
-                    self._last_bucket = bprev
-                else:
-                    bnxt.prev = bprev
-                bucket.prev = None
-                bucket.next = None
-                self.n_buckets -= 1
+                self._unlink_bucket(bucket)
             if len(pool) < POOL_CAP:
                 pool.append(node)
             removed += 1

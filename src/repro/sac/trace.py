@@ -29,7 +29,10 @@ class ReadEdge:
     """A recorded ``read`` of a modifiable.
 
     The edge remembers the reader closure and the timestamp interval
-    ``[start, end]`` spanned by the reader's execution.  When the modifiable
+    ``[start, end]`` spanned by the reader's execution.  A *leaf* read,
+    whose body recorded no stamp, closes on its own start: ``end is
+    start`` names an empty interval and costs no end stamp (re-execution
+    re-decides the shape).  When the modifiable
     changes, the edge becomes *dirty* and is queued; change propagation
     re-executes the closure within its interval, discarding whatever part of
     the old sub-trace is not reused through memoization.

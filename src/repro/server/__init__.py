@@ -15,6 +15,7 @@ Start one from the command line with ``python -m repro serve``.
 """
 
 from repro.server.pool import (
+    CellTypeError,
     DocError,
     DocFailedError,
     PooledDoc,
@@ -31,6 +32,7 @@ from repro.server.protocol import (
 from repro.server.scheduler import FairScheduler
 
 __all__ = [
+    "CellTypeError",
     "Client",
     "DocError",
     "DocFailedError",

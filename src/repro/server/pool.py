@@ -34,6 +34,10 @@ three things on top that a lone ``Session`` cannot provide:
   edits it absorbed, so one that cannot be read is refused with a
   :class:`DocError` (its files left as they are) rather than silently
   reverting them; siblings are unaffected.
+* **Typed edits.**  A wire edit whose value does not have its cell's
+  type is refused with :class:`CellTypeError` before it is staged or
+  journaled; propagating it would fault every recovery rung.  Ints and
+  floats are one kind; a float cell stays a float cell.
 * **Admission quotas.**  ``max_edits_per_round`` / ``max_bytes_per_round``
   cap what one document may stage between drains; over-quota edits are
   rejected with :class:`QuotaExceededError` (a typed, per-request error)
@@ -70,6 +74,7 @@ from repro.sac.exceptions import (
 )
 
 __all__ = [
+    "CellTypeError",
     "DocError",
     "DocFailedError",
     "PooledDoc",
@@ -79,6 +84,9 @@ __all__ = [
 ]
 
 log = logging.getLogger("repro.server.pool")
+
+#: Cell value types an edit may swap for one another (``bool`` is not one).
+_NUMBERS = (int, float)
 
 
 class DocError(Exception):
@@ -122,6 +130,24 @@ class QuotaExceededError(DocError):
         self.kind = kind
         self.used = used
         self.limit = limit
+
+
+class CellTypeError(DocError):
+    """A wire edit's value does not have its cell's type.
+
+    Raised *before* anything is staged or journaled: propagating a
+    mistyped input would fault every recovery rung that re-runs on it
+    (rebuilds included), so it is refused at the door instead.  Ints
+    and floats are one kind here.
+    """
+
+    def __init__(self, doc: str, cell: str, expected: type, value: Any) -> None:
+        super().__init__(
+            doc,
+            f"edit of {cell!r} in document {doc!r} needs a "
+            f"{expected.__name__} value, got {type(value).__name__}",
+        )
+        self.cell = cell
 
 
 @dataclass
@@ -699,6 +725,29 @@ class SessionPool:
 
     # -- edits ----------------------------------------------------------
 
+    def _typed_edits(
+        self, doc: PooledDoc, edits: Sequence[Sequence[Any]]
+    ) -> List[Tuple[str, Any]]:
+        """Return ``edits`` with each value given its cell's type.
+
+        Raises :class:`CellTypeError` unless every value has the type of
+        its cell's current value.  Ints and floats are one kind (a JSON
+        client sends ``3.0`` as ``3``); an int bound for a float cell is
+        staged as a float, so the cell keeps its type.
+        """
+        session = doc.session
+        typed = []
+        for cell, value in edits:
+            want = type(session.resolve(cell).value)
+            got = type(value)
+            if got is not want:
+                if not (want in _NUMBERS and got in _NUMBERS):
+                    raise CellTypeError(doc.name, cell, want, value)
+                if want is float:
+                    value = float(value)
+            typed.append((cell, value))
+        return typed
+
     async def edit(self, name: str, cell: str, value: Any) -> dict:
         """Stage one cell edit; ack when the document is consistent again.
 
@@ -710,6 +759,7 @@ class SessionPool:
         """
         doc = self._doc(name)
         doc.check_usable()
+        ((cell, value),) = self._typed_edits(doc, [(cell, value)])
         try:
             self._admit(doc, 1, value)
         except QuotaExceededError:
@@ -731,6 +781,7 @@ class SessionPool:
         """Stage many ``(cell, value)`` edits; one coalesced drain."""
         doc = self._doc(name)
         doc.check_usable()
+        edits = self._typed_edits(doc, edits)
         try:
             self._admit(doc, len(edits), edits)
         except QuotaExceededError:

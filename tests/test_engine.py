@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro import Session
+from repro.interp.values import list_value_to_python
+from repro.obs.invariants import InvariantChecker, check_trace
 from repro.sac import Engine
 from repro.sac.exceptions import (
     PropagationError,
@@ -432,3 +435,90 @@ def test_write_cutoff_nan_write_does_not_cascade():
     engine.change(m, -2.0)  # still negative: nanned stays NaN
     engine.propagate()
     assert reexec_count[0] == 1  # cutoff held; downstream untouched
+
+
+# ----------------------------------------------------------------------
+# Leaf intervals: a read whose body records nothing closes on its start
+
+LEAF_SOURCE = """
+datatype cell = Nil | Cons of int * cell $C
+
+fun squares l =
+  case l of
+    Nil => Nil
+  | Cons (h, t) => Cons (h * h, squares t)
+
+val main : cell $C -> cell $C = squares
+"""
+
+
+@pytest.mark.parametrize("hooked", [False, True], ids=["pooled", "checker"])
+@pytest.mark.parametrize("backend", ["interp", "stack"])
+def test_leaf_read_closes_on_start_and_reshapes_on_flip(backend, hooked):
+    """The read of the list's Nil tail records nothing, so its interval is
+    empty (``end is start``).  Appending a cell flips the branch: the
+    re-execution records a memo, a mod and a nested read, so the edge gets
+    an end stamp; removing the cell flips it back to a leaf.  Trace, order
+    and a from-scratch run agree after every propagation."""
+    checker = InvariantChecker() if hooked else None
+    session = Session(LEAF_SOURCE, backend=backend, hook=checker)
+    cells = session.input_list([3, 1, 2])
+    out = session.run(cells.head)
+    (edge,) = cells.mods[-1].readers  # the read of the Nil tail
+    assert edge.end is edge.start
+
+    def settle():
+        session.propagate()
+        session.engine.order.check()
+        check_trace(session.engine, expect_empty_queue=True)
+        data = cells.to_python()
+        fresh = Session(LEAF_SOURCE, backend=backend)
+        oracle = fresh.run(fresh.input_list(data).head)
+        assert list_value_to_python(out) == list_value_to_python(oracle)
+        assert list_value_to_python(out) == [x * x for x in data]
+
+    cells.insert(3, 4)
+    settle()
+    assert not edge.dead
+    assert edge.end is not edge.start and edge.start < edge.end
+    cells.remove(3)
+    settle()
+    assert not edge.dead and edge.end is edge.start
+    if hooked:
+        assert checker.checks["full_trace"] == 2
+
+
+def test_cursor_follows_a_reshaped_last_interval():
+    """The engine's cursor rests on the trace's last stamp between runs.
+    When the last read flips between leaf and non-leaf during
+    propagation, the cursor must follow its interval's end, so a later
+    top-level ``mod`` appends after the whole trace."""
+    engine = Engine()
+    m = engine.make_input(-1)
+    aux = engine.make_input(10)
+
+    def body(dest):
+        def reader(v):
+            if v > 0:
+                engine.read(aux, lambda w: engine.write(dest, v + w))
+            else:
+                engine.write(dest, v)
+
+        engine.read(m, reader)
+
+    out = engine.mod(body)
+    (edge,) = m.readers
+    assert edge.end is edge.start and engine.now is edge.start
+    engine.change(m, 1)
+    engine.propagate()
+    assert out.value == 11 and edge.end is not edge.start
+    assert engine.now is edge.end
+    extra = square_chain(engine, aux)
+    check_trace(engine)
+    engine.change(m, -5)
+    engine.propagate()
+    assert out.value == -5 and edge.end is edge.start
+    assert engine.now.live
+    square_chain(engine, extra)
+    check_trace(engine)
+    engine.order.check()

@@ -194,7 +194,8 @@ def test_event_log_records_abort_and_rollback_and_poison():
     assert rollback.info["undone"] == 1
     assert rollback.info["restaged"] == 1
 
-    # Poison: make the next abort's cleanup fail.
+    # Poison: fault the next write, and make that abort's cleanup fail.
+    injector.at = injector.counts["write"]
     injector.armed = True
     engine._delete_range = lambda a, b: (_ for _ in ()).throw(
         RuntimeError("cleanup failure")

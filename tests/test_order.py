@@ -203,6 +203,29 @@ def test_forced_relabel_density_same_point():
     assert anchor.key < keys[0] and keys[-1] < end.key
 
 
+@pytest.mark.parametrize("k", [1, BUCKET_CAPACITY - 1, BUCKET_CAPACITY, 500, 5000])
+def test_forward_run_in_full_bucket_splits_once(k):
+    """Re-execution inserts a forward run after a cursor that sits in the
+    middle of a full bucket.  The bucket splits once, at the cursor; the
+    rest of the run appends to the freed tail and then to fresh buckets,
+    so relabels stay at ``2 + k // BUCKET_CAPACITY``."""
+    order = Order()
+    full = [order.base]
+    for _ in range(BUCKET_CAPACITY - 1):
+        full.append(order.insert_after(full[-1]))
+    assert order.base.bucket.count == BUCKET_CAPACITY
+    cursor = full[BUCKET_CAPACITY // 2]
+    before = order.n_relabels
+    run = []
+    for _ in range(k):
+        cursor = order.insert_after(cursor)
+        run.append(cursor)
+    assert order.n_relabels - before <= 2 + k // BUCKET_CAPACITY
+    order.check()
+    middle = BUCKET_CAPACITY // 2 + 1
+    assert list(order) == full[:middle] + run + full[middle:]
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_delete_range_matches_per_stamp_deletes(seed):

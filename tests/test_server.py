@@ -23,6 +23,7 @@ from repro.obs.invariants import check_trace
 from repro.persist import SnapshotMismatchError, read_header, read_snapshot
 from repro.persist.snapshot import MAGIC, write_snapshot
 from repro.server import (
+    CellTypeError,
     Client,
     DocError,
     DocFailedError,
@@ -390,6 +391,55 @@ def test_persistent_fault_escalates_to_rebuild():
         await pool.edit("doc", "cell:1", 1.0)
         got = await pool.demand("doc")
         assert values_close(got["value"], _expected(pool, "doc"))
+
+    asyncio.run(main())
+
+
+def test_mistyped_edit_is_refused_before_staging(tmp_path):
+    """A wire edit whose value does not have its cell's type is refused
+    with a typed error before it is staged or journaled -- the document
+    never faults on it and keeps answering from-scratch-correct values.
+    An int still passes for a float cell."""
+
+    async def main():
+        pool = SessionPool(checkpoint_dir=str(tmp_path))
+        pool.open("doc", app="msort", n=8, seed=1)
+        pool.open("vec", app="vec-reduce", n=8, seed=2)
+        doc = pool.docs["doc"]
+        wal = pool._doc_paths("doc")[1]
+        journaled = os.path.getsize(wal)
+        with pytest.raises(CellTypeError) as exc:
+            await pool.edit("doc", "cell:3", 777)
+        assert exc.value.cell == "cell:3"
+        assert not doc.session.engine.queue
+        assert os.path.getsize(wal) == journaled
+        stats = pool.stats("doc")
+        assert not stats["failed"]
+        assert stats["faults"] == stats["rollbacks"] == stats["edits"] == 0
+        got = await pool.get("doc", "out")
+        assert doc.session.app.readback(got["value"]) == _expected(pool, "doc")
+
+        # A batch is refused whole: its well-typed edits are not staged.
+        before = pool.docs["vec"].session.resolve("cell:0").value
+        with pytest.raises(CellTypeError):
+            await pool.batch("vec", [["cell:0", 2.0], ["cell:1", "x"]])
+        assert pool.docs["vec"].session.resolve("cell:0").value == before
+        # An int edit of a float cell is staged as a float, so the cell
+        # keeps taking floats after it.
+        await pool.edit("vec", "cell:1", 3)
+        assert pool.docs["vec"].session.resolve("cell:1").value == 3.0
+        assert type(pool.docs["vec"].session.resolve("cell:1").value) is float
+        await pool.edit("vec", "cell:1", 2.5)
+        got = await pool.get("vec", "out")
+        assert values_close(got["value"], _expected(pool, "vec"))
+
+        # A document opened on JSON integers takes float edits too.
+        pool.open("ints", app="vec-reduce", data=[1, 2, 3])
+        await pool.batch("ints", [["cell:0", 2.5], ["cell:2", 4]])
+        got = await pool.get("ints", "out")
+        assert values_close(got["value"], _expected(pool, "ints"))
+        with pytest.raises(CellTypeError):
+            await pool.edit("ints", "cell:1", True)
 
     asyncio.run(main())
 
