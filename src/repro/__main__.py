@@ -44,7 +44,7 @@ reference function.
 
 The ``profile`` subcommand runs an app end to end and reports per-phase
 wall time and meter deltas, the engine's order-maintenance / dirty-queue /
-free-list statistics, the intern table profile, and (by default) the top
+free-list / relevance-filter statistics, and (by default) the top
 propagation call sites by internal time.
 """
 

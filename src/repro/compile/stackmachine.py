@@ -68,7 +68,6 @@ from repro.interp.values import (
     ConValue,
     LmlRuntimeError,
     MatchFailure,
-    intern_con,
 )
 from repro.sac.api import memo_key
 from repro.sac.engine import Engine
@@ -313,8 +312,8 @@ class _Flattener:
             tag = b.tag
             if b.args:
                 g = atom(b.args[0], sc)
-                return lambda f: intern_con(tag, g(f))
-            nullary = intern_con(tag)
+                return lambda f: ConValue(tag, g(f))
+            nullary = ConValue(tag)
             return lambda f: nullary
         if t is S.BLam:
             return self.lam(b, sc)

@@ -18,17 +18,17 @@ Every edit method follows the uniform convention of
 until propagation) and the return value is the number of read edges it
 dirtied.
 
-List cells are built through the intern table
-(:func:`repro.interp.values.intern_con`), so a cell rebuilt during an edit
-with unchanged contents is the *same object* the trace already holds and
-the engine's write cutoff answers by identity.
+List cells are plain :class:`~repro.interp.values.ConValue` objects; a cell
+rebuilt during an edit with unchanged contents is a new object, and the
+engine's write cutoff compares it structurally with the one it replaces
+(head by value, tail modifiable by identity).
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, List, Optional, Sequence
 
-from repro.interp.values import ConValue, deep_read, intern_con, list_value_to_python
+from repro.interp.values import ConValue, deep_read, list_value_to_python
 from repro.sac.engine import Engine
 from repro.sac.modifiable import Modifiable
 
@@ -45,9 +45,9 @@ __all__ = [
 
 def plain_list(items: Sequence[Any], nil: str = "Nil", cons: str = "Cons") -> ConValue:
     """Build a conventional (modifiable-free) cons list value."""
-    value = intern_con(nil)
+    value = ConValue(nil)
     for item in reversed(list(items)):
-        value = intern_con(cons, (item, value))
+        value = ConValue(cons, (item, value))
     return value
 
 
@@ -73,9 +73,9 @@ class ModListInput:
         # Build back-to-front and reverse once: the obvious
         # ``insert(0, ...)`` per element is O(n^2) and dominates marshal
         # time for the deep-workload stress inputs (n ~ 1e5).
-        mods: List[Modifiable] = [engine.make_input(intern_con(nil))]
+        mods: List[Modifiable] = [engine.make_input(ConValue(nil))]
         for item in reversed(list(items)):
-            cell = intern_con(cons, (item, mods[-1]))
+            cell = ConValue(cons, (item, mods[-1]))
             mods.append(engine.make_input(cell))
         mods.reverse()
         self.mods: List[Modifiable] = mods
@@ -103,7 +103,7 @@ class ModListInput:
         target = self.mods[index]
         carrier = self.engine.make_input(target.peek())
         dirtied = self.engine.change(
-            target, intern_con(self.cons, (value, carrier))
+            target, ConValue(self.cons, (value, carrier))
         )
         self.mods.insert(index + 1, carrier)
         return dirtied
@@ -124,7 +124,7 @@ class ModListInput:
             raise IndexError(index)
         cell = self.mods[index].peek()
         return self.engine.change(
-            self.mods[index], intern_con(self.cons, (value, cell.arg[1]))
+            self.mods[index], ConValue(self.cons, (value, cell.arg[1]))
         )
 
 

@@ -14,9 +14,10 @@ leaves of a closed IR, so ``isinstance`` ladders -- the single hottest cost
 in profiles of this backend -- reduce to identity checks against
 module-level aliases, ordered by measured execution frequency under change
 propagation.  Atom resolution (variable lookup) is additionally inlined at
-the hottest sites.  Constructor values are built through the intern table
-(:func:`repro.interp.values.intern_con`), so repeated cells share one
-canonical object and downstream equality/memo checks run by identity.
+the hottest sites.  Constructor values are plain
+:class:`~repro.interp.values.ConValue` objects: equal cells built twice are
+two objects, compared structurally by the write cutoff and keyed
+structurally by the memo tables.
 
 Exception transparency: this backend deliberately contains no exception
 handlers.  Anything raised while evaluating user code -- a failing
@@ -40,7 +41,6 @@ from repro.interp.values import (
     Env,
     LmlRuntimeError,
     MatchFailure,
-    intern_con,
 )
 from repro.sac.api import memo_key
 from repro.sac.engine import Engine
@@ -262,13 +262,13 @@ class SelfAdjustingInterpreter:
                     while scope is not None:
                         x = scope.vars.get(name, _MISSING)
                         if x is not _MISSING:
-                            return intern_con(b.tag, x)
+                            return ConValue(b.tag, x)
                         scope = scope.parent
                     raise LmlRuntimeError(
                         f"unbound variable at runtime: {name}"
                     )
-                return intern_con(b.tag, self.atom(a, env))
-            return intern_con(b.tag)
+                return ConValue(b.tag, self.atom(a, env))
+            return ConValue(b.tag)
         if t is _BIf:
             cond = self.atom(b.cond, env)
             return self.eval(b.then if cond else b.els, Env(env))

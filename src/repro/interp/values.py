@@ -15,7 +15,6 @@ from __future__ import annotations
 from typing import Any, Optional, Tuple
 
 from repro.sac.api import memo_key
-from repro.sac.intern import INTERN
 
 
 class LmlRuntimeError(Exception):
@@ -36,19 +35,17 @@ class ConValue:
     modifiables (``marshal.plain_list``) can be deeper than the Python
     recursion limit.  The structural hash is computed once and cached.
 
-    ``_hc`` marks a *canonical* (hash-consed) instance from the process-wide
-    intern table (see :mod:`repro.sac.intern` and :func:`intern_con`);
-    canonical instances let the engine's write cutoff and the memo tables
-    compare/hash by identity on the fast path.
+    Values are not hash-consed: equal cells built twice are two objects,
+    and the engine's write cutoff compares them structurally
+    (:func:`repro.sac.engine._values_equal`).
     """
 
-    __slots__ = ("tag", "arg", "_hash", "_hc", "__weakref__")
+    __slots__ = ("tag", "arg", "_hash")
 
     def __init__(self, tag: str, arg: Any = None) -> None:
         self.tag = tag
         self.arg = arg
         self._hash: Optional[int] = None
-        self._hc = False
 
     def __eq__(self, other: Any) -> bool:
         if self is other:
@@ -107,26 +104,12 @@ class ConValue:
         return self._hash
 
     def memo_key(self) -> Any:
-        # A canonical value is its own memo key: hashing is the cached
-        # structural hash and equality has the identity fast path, while
-        # the key's equality classes match the structural tuple keys used
-        # for uninterned values (both follow Python ``==`` on the pieces).
-        if self._hc:
-            return self
         return ("con", self.tag, memo_key(self.arg))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if self.arg is None:
             return self.tag
         return f"{self.tag}({self.arg!r})"
-
-
-def intern_con(tag: str, arg: Any = None) -> ConValue:
-    """Build a :class:`ConValue` through the process-wide intern table.
-
-    Returns the canonical instance when ``(tag, arg)`` is internable (see
-    :mod:`repro.sac.intern`), a fresh uninterned instance otherwise."""
-    return INTERN.con(ConValue, tag, arg)
 
 
 class Closure:

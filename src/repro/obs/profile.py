@@ -8,9 +8,9 @@ collections by generation and the seconds they paused the phase,
 recorded through :data:`gc.callbacks`.  After the phases it dumps the
 engine's hot-path statistics
 (:meth:`repro.sac.engine.Engine.hot_stats`): order-maintenance
-structure and relabel counts, dirty-queue pushes/rekeys/peak, and the
-record free-list reuse counts, plus the value intern table's hit/miss
-profile.  With call-site profiling enabled (the default), the propagation
+structure and relabel counts, dirty-queue pushes/rekeys/peak, the
+record free-list reuse counts and the relevance-filter counters.  With
+call-site profiling enabled (the default), the propagation
 phase additionally runs under :mod:`cProfile` and the report lists the
 top engine call sites by internal time -- the first place to look when
 propagation regresses.
@@ -64,7 +64,6 @@ class ProfileReport:
     seed: int
     phases: List[PhaseProfile]
     hot_stats: Dict[str, dict]
-    intern: Dict[str, int]
     call_sites: List[str] = field(default_factory=list)
     mode: str = "eager"
 
@@ -107,9 +106,6 @@ class ProfileReport:
             stats = self.hot_stats.get(section, {})
             body = "  ".join(f"{k}={v}" for k, v in stats.items())
             lines.append(f"{section + ':':<7} {body}")
-        lines.append(
-            "intern: " + "  ".join(f"{k}={v}" for k, v in self.intern.items())
-        )
         for phase in self.phases:
             if phase.events:
                 body = ", ".join(
@@ -187,7 +183,6 @@ def profile_app(
     from repro.core.pipeline import compile_program
     from repro.sac.engine import Engine
     from repro.sac.gcpause import gc_paused
-    from repro.sac.intern import intern_stats
 
     if isinstance(app, str):
         if app not in REGISTRY:
@@ -206,7 +201,6 @@ def profile_app(
         log = EventLog()
         engine.attach_hook(log)
 
-    intern_before = intern_stats()
     phases: List[PhaseProfile] = []
 
     def run_phase(name: str, fn, samples: int = 1, profiler=None):
@@ -304,13 +298,6 @@ def profile_app(
     )
     run_phase("readback", lambda: app.readback(output))
 
-    intern_after = intern_stats()
-    intern = {
-        key: intern_after[key] - intern_before.get(key, 0)
-        for key in ("hits", "misses", "bypassed")
-    }
-    intern["live"] = intern_after["live"]
-
     return ProfileReport(
         app=app.name,
         backend=backend,
@@ -319,7 +306,6 @@ def profile_app(
         seed=seed,
         phases=phases,
         hot_stats=engine.hot_stats(),
-        intern=intern,
         call_sites=_top_call_sites(profiler, top) if profiler else [],
         mode=mode,
     )

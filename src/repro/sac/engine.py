@@ -68,13 +68,11 @@ def _values_equal(a: Any, b: Any) -> bool:
     structurally under the same rules.  Returning False for incomparable
     values is always sound (it only causes extra propagation).
 
-    Hash-consed constructor values (see :mod:`repro.sac.intern`) make the
-    common cases O(1): identical canonical instances hit the leading
-    identity test, and two *distinct* canonical instances are unequal by
-    construction (the intern key discriminates exactly the distinctions
-    made here), so no structural walk is needed either way.  The walk
-    itself is iterative -- an explicit pair stack instead of recursion -- so
-    a cutoff check on a 10k-deep constructor chain cannot overflow the
+    This is the runtime's only value equality: constructor values are not
+    hash-consed, so equal cells built separately are compared by this walk.
+    The walk stops at modifiables (identity), so a list cell costs O(1).
+    It is iterative -- an explicit pair stack instead of recursion -- so a
+    cutoff check on a 10k-deep constructor chain cannot overflow the
     interpreter stack.
     """
     if a is b:
@@ -107,9 +105,6 @@ def _values_equal(a: Any, b: Any) -> bool:
             # the interpreter layer: same tag, argument equal under these
             # rules.
             if tag != b.tag:
-                return False
-            if getattr(a, "_hc", False) and getattr(b, "_hc", False):
-                # Both canonical but not identical: unequal by construction.
                 return False
             stack.append((a.arg, b.arg))
             continue

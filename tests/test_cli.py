@@ -128,7 +128,6 @@ def test_profile_reports_phases_and_engine_stats(capsys, backend):
     # ... relabel and queue statistics ...
     assert "relabels=" in out
     assert "queue:" in out and "rekeys=" in out and "drained=" in out
-    assert "intern:" in out
     # ... and the cProfile call-site section.
     assert "top call sites" in out
 

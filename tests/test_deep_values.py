@@ -1,9 +1,9 @@
 """Deep constructor chains must never overflow the interpreter stack.
 
-Regression tests for the recursion bugs the hash-consing rework fixed:
-``ConValue.__eq__``/``__hash__`` and the engine's ``_values_equal`` used
-to recurse along the spine, so a write-cutoff comparison (or a dict
-lookup) on a deep cons chain raised ``RecursionError``.  All three walks
+Regression tests for recursion bugs: ``ConValue.__eq__``/``__hash__``
+and the engine's ``_values_equal`` used to recurse along the spine, so a
+write-cutoff comparison (or a dict lookup) on a deep cons chain raised
+``RecursionError``.  All three walks
 are iterative now; these tests pin that by running them on multi-thousand
 node chains under a deliberately *tightened* recursion limit — a
 recursive implementation overflows deterministically, an iterative one
@@ -15,9 +15,9 @@ recursion limit to ~600k for the interpreters
 ``sys.getrecursionlimit()`` inside a test explodes once an engine has run
 earlier in the session.
 
-Floats are used as elements on the direct-structure tests because they
-bypass the intern table (see :mod:`repro.sac.intern`): an uninterned
-chain is the case that actually has to walk.
+Constructor values are not hash-consed, so two chains built from the
+same elements are distinct objects and every comparison below walks the
+whole spine.
 """
 
 import contextlib
@@ -52,7 +52,7 @@ def _chain(depth):
 def test_deep_chain_equality_and_hash_are_iterative():
     a = _chain(DEPTH)
     b = _chain(DEPTH)
-    assert a is not b  # floats bypass interning: genuinely deep walk
+    assert a is not b  # distinct objects: genuinely deep walk
     with _tight_stack():
         assert a == b
         assert hash(a) == hash(b)
