@@ -9,8 +9,8 @@ must beat 32 sequential propagations by at least 2x.
 
 Also measured: the space side of the tentpole.  500 edit/propagate
 rounds (batched, 4 edits each) must leave ``trace_size`` within 1.5x of
-a fresh run on the final data -- eager record discard plus table
-compaction keep the trace from creeping.
+a fresh run on the final data -- records leave the trace and the memo
+table as they die, which keeps the trace from creeping.
 
 ``REPRO_BATCH_SIZES`` overrides the input sizes (e.g. "64" for a CI
 smoke run); the claims are only asserted at the defaults.

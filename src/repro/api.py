@@ -670,8 +670,8 @@ class Session:
         return self.run(data=data)
 
     def compact(self) -> dict:
-        """Force a trace-table compaction (normally automatic); return the
-        removed-entry counts."""
+        """Force an ``alloc_table`` sweep (normally automatic; memo entries
+        leave their table when they die); return ``{"alloc": removed}``."""
         return self.engine.compact()
 
     # -- inputs ---------------------------------------------------------

@@ -21,8 +21,12 @@ and matching the AFL benchmarks the paper reuses):
   propagation (each filter memo-reuses its result modifiables).
 * ``msort`` divides by the *bits of the element values* instead of by
   position, so an insertion does not shift the parity of every later
-  element (value-stable division; inputs must be distinct positive
-  integers, which the workload generator guarantees);
+  element (value-stable division).  Its elements must be distinct
+  integers (zero and negatives are fine): two equal elements never
+  separate, so ``ms`` would recurse forever.  ``Session.prepare``/``run``
+  refuse such data with :class:`RepeatedElementError` before anything
+  runs; an edit through ``ModListInput.insert`` that repeats a value is
+  the caller's to avoid (the change driver draws fresh values);
 * ``msort``'s merge copies the remaining suffix through a memoized ``cp``
   when one side runs out, instead of sharing the other list's spine.
   Sharing would make the output spine's identity flip between
@@ -203,6 +207,26 @@ class _ListChanger:
             handle.remove(index)
 
 
+class RepeatedElementError(ValueError):
+    """msort data holds a repeated element, on which ``ms`` never ends."""
+
+
+def _distinct(make):
+    """Wrap an input builder (data last) to refuse a repeated element."""
+
+    def checked(*args):
+        seen = set()
+        for x in args[-1]:
+            if x in seen:
+                raise RepeatedElementError(
+                    f"msort needs distinct elements; {x!r} repeats"
+                )
+            seen.add(x)
+        return make(*args)
+
+    return checked
+
+
 def _make_sa_list(engine: Engine, data: List[int]):
     handle = ModListInput(engine, data)
     return handle.head, handle
@@ -225,12 +249,15 @@ def _readback_pair(output: Any) -> Tuple[List[int], List[int]]:
 
 def _list_app(name: str, source: str, reference) -> App:
     readback = _readback_pair if name == "split" else _readback_list
+    make_sa, make_conv = _make_sa_list, plain_list
+    if name == "msort":
+        make_sa, make_conv = _distinct(make_sa), _distinct(make_conv)
     return App(
         name=name,
         source=source,
         make_data=random_permutation,
-        make_sa_input=_make_sa_list,
-        make_conv_input=plain_list,
+        make_sa_input=make_sa,
+        make_conv_input=make_conv,
         apply_change=_ListChanger(),
         reference=reference,
         readback=readback,

@@ -139,8 +139,8 @@ class TraceHook:
         """The outermost batch scope closed: ``changed`` effective edits
         were coalesced into one pass that re-executed ``reexecuted`` reads."""
 
-    def on_trace_compact(self, memo_removed: int, alloc_removed: int) -> None:
-        """A compaction swept dead entries out of the memo/alloc tables."""
+    def on_trace_compact(self, alloc_removed: int) -> None:
+        """``Engine.compact`` swept dead sites out of the allocation table."""
 
 
 class FanoutHook(TraceHook):
@@ -238,9 +238,9 @@ class FanoutHook(TraceHook):
         for h in self.hooks:
             h.on_batch_end(changed, reexecuted)
 
-    def on_trace_compact(self, memo_removed, alloc_removed):
+    def on_trace_compact(self, alloc_removed):
         for h in self.hooks:
-            h.on_trace_compact(memo_removed, alloc_removed)
+            h.on_trace_compact(alloc_removed)
 
 
 def _short(value: Any, limit: int = 48) -> str:
@@ -397,8 +397,8 @@ class EventLog(TraceHook):
     def on_batch_end(self, changed, reexecuted):
         self._emit("batch-end", changed=changed, reexecuted=reexecuted)
 
-    def on_trace_compact(self, memo_removed, alloc_removed):
-        self._emit("trace-compact", memo=memo_removed, alloc=alloc_removed)
+    def on_trace_compact(self, alloc_removed):
+        self._emit("trace-compact", alloc=alloc_removed)
 
     # -- inspection -----------------------------------------------------------
 

@@ -23,6 +23,8 @@ checkable in one walk of the timestamp order:
    in the upward reader-closure of a dirty live edge's recorded
    destination is suspect, so a demand can never fast-path a modifiable
    that still has stale feeders anywhere below it.
+6. **Memo-table residency** -- ``memo_table`` indexes exactly the
+   committed memo entries of the trace: no dead entry, no empty bucket.
 
 :func:`check_trace` performs these structural checks on a quiescent
 engine.  :class:`InvariantChecker` is a :class:`~repro.obs.events.TraceHook`
@@ -76,7 +78,7 @@ def check_trace(
     except AssertionError as exc:
         raise InvariantViolation(f"timestamp order corrupt: {exc}") from exc
 
-    reads = memos = 0
+    reads = memos = committed_memos = 0
     depth = max_depth = 0
     stack: list = []  # open records, innermost last
     end_map: Dict[int, Any] = {}  # id(end stamp) -> record
@@ -137,6 +139,8 @@ def check_trace(
                     dirty_live.append(owner)
             else:
                 memos += 1
+                if owner.end is not None:
+                    committed_memos += 1
         node = node.next
 
     if stack:
@@ -195,6 +199,25 @@ def check_trace(
             for r in dest.readers:
                 if not r.dead and r.dest is not None and id(r.dest) not in visited:
                     stack.append(r.dest)
+
+    # 6. Memo-table residency: the table indexes exactly the committed
+    # entries of the trace (a dead one leaves its bucket as it dies).
+    indexed = 0
+    for bucket in engine.memo_table.values():
+        if not bucket:
+            raise InvariantViolation("empty memo-table bucket left behind")
+        for entry in bucket:
+            start = entry.start
+            if entry.end is None or start is None or start.owner is not entry:
+                raise InvariantViolation(
+                    f"memo table indexes {entry!r}, not a live committed entry"
+                )
+            indexed += 1
+    if indexed != committed_memos:
+        raise InvariantViolation(
+            f"memo table indexes {indexed} entries; the trace has "
+            f"{committed_memos} committed ones"
+        )
 
     return TraceCheckReport(stamps, reads, memos, max_depth, len(queue))
 

@@ -302,9 +302,6 @@ class Engine:
         #: dirty queue and propagation runs once at the outermost exit.
         self._batch_depth = 0
         self._batch_changes = 0
-        #: dead memo entries still occupying table buckets; when this
-        #: outgrows the live population, :meth:`compact` sweeps the tables.
-        self._dead_memo_entries = 0
         #: poisoning reason, or None while the engine is healthy.  Set when
         #: failure cleanup could not restore a consistent trace; every
         #: public operation then raises :class:`EnginePoisonedError`.
@@ -318,6 +315,9 @@ class Engine:
         #: floor before automatic compaction is considered at all (small
         #: computations never pay a sweep).
         self.compact_threshold = 64
+        #: ``alloc_table`` size past which the next automatic
+        #: :meth:`compact` runs: twice the size the last sweep left.
+        self._alloc_sweep_at = self.compact_threshold
         #: Optional observability hook (see :mod:`repro.obs.events`).  When
         #: None -- the default -- every emission site costs one attribute
         #: check, keeping the hot path fast.
@@ -1213,79 +1213,11 @@ class Engine:
         result returned without recomputation.  Otherwise ``thunk`` runs and
         its interval and result are recorded.
         """
-        self._check_usable()
-        entries = self.memo_table.get(key)
-        if entries is not None:
-            hit: Optional[MemoEntry] = None
-            limit = self.reuse_limit
-            dead = 0
-            if limit is not None:
-                now_key = self.now.key
-                limit_key = limit.key
-                for entry in entries:
-                    if entry.dead:
-                        dead += 1
-                    elif (
-                        hit is None
-                        and now_key < entry.start.key
-                        and entry.end is not None
-                        and entry.end.key <= limit_key
-                    ):
-                        hit = entry
-            else:
-                for entry in entries:
-                    if entry.dead:
-                        dead += 1
-            if dead:
-                # Lazy per-key pruning: dead entries leave the bucket here,
-                # so they must also leave the dead-entry account that
-                # drives whole-table compaction.
-                live = [e for e in entries if not e.dead]
-                self._dead_memo_entries -= dead
-                if live:
-                    self.memo_table[key] = live
-                else:
-                    del self.memo_table[key]
-                if self.hook is None:
-                    pool = self._memo_pool
-                    cap = self.MEMO_POOL_CAP
-                    for entry in entries:
-                        if entry.dead and len(pool) < cap:
-                            entry.key = None
-                            entry.start = None
-                            entry.end = None
-                            pool.append(entry)
-            if hit is not None:
-                # Splice: discard the skipped old trace, jump past the hit.
-                if self.hook is not None:
-                    self.hook.on_memo_hit(hit)
-                self._delete_range(self.now, hit.start)
-                self.now = hit.end
-                self.meter.memo_hits += 1
-                if self.hook is not None:
-                    self.hook.on_splice(hit)
-                return hit.result
-        self.meter.memo_misses += 1
-        if self.hook is not None:
-            self.hook.on_memo_miss(key)
-        start = self.now = self._insert_after(self.now)
-        pool = self._memo_pool
-        if pool:
-            entry = pool.pop()
-            entry.key = key
-            entry.result = None
-            entry.start = start
-            entry.end = None
-            entry.dead = False
-            self.memo_entries_reused += 1
-        else:
-            entry = MemoEntry(key, start)
-        start.owner = entry
-        self.meter.live_memo_entries += 1
+        hit, result, entry = self.memo_probe(key)
+        if hit:
+            return result
         result = thunk()
-        entry.end = self.now = self._insert_after(self.now)
-        entry.result = result
-        self.memo_table.setdefault(key, []).append(entry)
+        self.memo_commit(entry, result)
         return result
 
     # ------------------------------------------------------------------
@@ -1298,12 +1230,13 @@ class Engine:
     # backend (:mod:`repro.compile.stackmachine`) replaces that host
     # recursion with an explicit control stack, which requires the same
     # protocols split into begin/end/abort halves it can interleave with
-    # its own dispatch.  Each half below mirrors its recursive original
-    # line for line -- same stamps in the same order, same meter
-    # increments, same hook emissions, same pooling, same demand-hazard
-    # checks -- and the differential grid in
-    # ``tests/test_backends_differential.py`` holds them to meter-exact
-    # equality.  When editing ``mod``/``read``/``memo``, edit these too.
+    # its own dispatch.  ``memo`` is already a wrapper over its halves;
+    # the ``mod``/``read`` halves mirror their recursive originals line
+    # for line -- same stamps in the same order, same meter increments,
+    # same hook emissions, same pooling, same demand-hazard checks -- and
+    # the differential grid in ``tests/test_backends_differential.py``
+    # holds them to meter-exact equality.  When editing ``mod``/``read``,
+    # edit these too.
 
     def read_begin(
         self, mod: Modifiable, reader: Callable[[Any], None]
@@ -1461,52 +1394,23 @@ class Engine:
         """
         self._check_usable()
         entries = self.memo_table.get(key)
-        if entries is not None:
-            hit: Optional[MemoEntry] = None
-            limit = self.reuse_limit
-            dead = 0
-            if limit is not None:
-                now_key = self.now.key
-                limit_key = limit.key
-                for entry in entries:
-                    if entry.dead:
-                        dead += 1
-                    elif (
-                        hit is None
-                        and now_key < entry.start.key
-                        and entry.end is not None
-                        and entry.end.key <= limit_key
-                    ):
-                        hit = entry
-            else:
-                for entry in entries:
-                    if entry.dead:
-                        dead += 1
-            if dead:
-                live = [e for e in entries if not e.dead]
-                self._dead_memo_entries -= dead
-                if live:
-                    self.memo_table[key] = live
-                else:
-                    del self.memo_table[key]
-                if self.hook is None:
-                    pool = self._memo_pool
-                    cap = self.MEMO_POOL_CAP
-                    for entry in entries:
-                        if entry.dead and len(pool) < cap:
-                            entry.key = None
-                            entry.start = None
-                            entry.end = None
-                            pool.append(entry)
-            if hit is not None:
-                if self.hook is not None:
-                    self.hook.on_memo_hit(hit)
-                self._delete_range(self.now, hit.start)
-                self.now = hit.end
-                self.meter.memo_hits += 1
-                if self.hook is not None:
-                    self.hook.on_splice(hit)
-                return True, hit.result, None
+        limit = self.reuse_limit
+        if entries is not None and limit is not None:
+            # Every bucket entry is live and committed (dead ones leave in
+            # ``_delete_range``); the first in insertion order inside the
+            # reuse zone is the hit.
+            now_key = self.now.key
+            limit_key = limit.key
+            for hit in entries:
+                if now_key < hit.start.key and hit.end.key <= limit_key:
+                    if self.hook is not None:
+                        self.hook.on_memo_hit(hit)
+                    self._delete_range(self.now, hit.start)
+                    self.now = hit.end
+                    self.meter.memo_hits += 1
+                    if self.hook is not None:
+                        self.hook.on_splice(hit)
+                    return True, hit.result, None
         self.meter.memo_misses += 1
         if self.hook is not None:
             self.hook.on_memo_miss(key)
@@ -1676,7 +1580,7 @@ class Engine:
             self._suspect_mods.clear()
         if hook is not None:
             hook.on_propagate_end(reexecuted)
-        if self._compaction_due():
+        if len(self.alloc_table) > self._alloc_sweep_at:
             self.compact()
         return reexecuted
 
@@ -1866,7 +1770,7 @@ class Engine:
         if hook is not None:
             for t in targets:
                 hook.on_demand_end(t, reexecuted)
-        if self._compaction_due():
+        if len(self.alloc_table) > self._alloc_sweep_at:
             self.compact()
         if single:
             return targets[0].value
@@ -2365,62 +2269,26 @@ class Engine:
         return len(journal), recovery_reexecuted, restaged
 
     # ------------------------------------------------------------------
-    # Trace compaction
-
-    def _compaction_due(self) -> bool:
-        """Whether dead table residue justifies a sweep.
-
-        Amortized O(1) per discard: a sweep costs O(table size) and only
-        runs once the dead population exceeds both a fixed floor and the
-        live population, so total sweep work is proportional to total
-        discard work.
-        """
-        dead = self._dead_memo_entries
-        return dead > self.compact_threshold and dead > self.meter.live_memo_entries
+    # Allocation-table compaction
 
     def compact(self) -> dict:
-        """Sweep dead residue out of the memo and allocation tables.
+        """Sweep dead sites out of the keyed-allocation table.
 
-        Trace *records* are already freed eagerly when their interval is
-        spliced out (:meth:`_delete_range` retracts them and drops their
-        closures/results), but the table buckets that index them are only
-        pruned lazily on key lookup -- a long-lived instance whose memo keys
-        never recur (value-dependent keys after an input edit) would grow
-        its tables without bound.  Compaction removes dead memo entries,
-        empty buckets, and allocation-table entries whose site was
-        discarded.  Dropping a dead allocation entry is always sound; the
-        only cost is that a *later* re-allocation under the same key gets a
+        Trace records leave their tables when they die: :meth:`_delete_range`
+        retracts every record of a spliced-out interval, and a memo entry
+        leaves its ``memo_table`` bucket in that same step.  Only
+        ``alloc_table`` (filled by :meth:`keyed_mod`) keeps entries whose
+        allocation site died; dropping one is always sound, and the only
+        cost is that a *later* re-allocation under the same key gets a
         fresh modifiable instead of recycling the old identity.
 
-        Runs automatically after a propagation once the dead population
-        outgrows the live one (see :meth:`_compaction_due`); idempotent and
-        cheap to call explicitly.  Returns ``{"memo": ..., "alloc": ...}``
-        counts of removed entries.
+        Runs automatically after a propagation or demand once the table
+        outgrows twice what the last sweep left (floored at
+        ``compact_threshold``), so sweep work is amortized over the
+        insertions that grew it; idempotent and cheap to call explicitly.
+        Returns ``{"alloc": ...}``, the count of removed entries.
         """
         self._check_usable()
-        memo_removed = 0
-        if self._dead_memo_entries:
-            pool = self._memo_pool if self.hook is None else None
-            cap = self.MEMO_POOL_CAP
-            for key in list(self.memo_table):
-                entries = self.memo_table[key]
-                live = [e for e in entries if not e.dead]
-                if len(live) == len(entries):
-                    continue
-                memo_removed += len(entries) - len(live)
-                if pool is not None:
-                    for entry in entries:
-                        if entry.dead and len(pool) < cap:
-                            entry.key = None
-                            entry.start = None
-                            entry.end = None
-                            pool.append(entry)
-                if live:
-                    self.memo_table[key] = live
-                else:
-                    del self.memo_table[key]
-            self._dead_memo_entries = 0
-        alloc_removed = 0
         stale = [
             k
             for k, (_, stamp, gen) in self.alloc_table.items()
@@ -2428,25 +2296,27 @@ class Engine:
         ]
         for key in stale:
             del self.alloc_table[key]
-            alloc_removed += 1
+        self._alloc_sweep_at = max(
+            self.compact_threshold, 2 * len(self.alloc_table)
+        )
         meter = self.meter
         meter.compactions += 1
-        meter.memo_entries_compacted += memo_removed
-        meter.alloc_entries_compacted += alloc_removed
+        meter.alloc_entries_compacted += len(stale)
         if self.hook is not None:
-            self.hook.on_trace_compact(memo_removed, alloc_removed)
-        return {"memo": memo_removed, "alloc": alloc_removed}
+            self.hook.on_trace_compact(len(stale))
+        return {"alloc": len(stale)}
 
     def table_residency(self) -> dict:
-        """Entry counts of the auxiliary tables, dead residue included.
+        """Entry counts of the auxiliary tables.
 
-        ``trace_size`` counts only the *live* trace; this reports what the
-        tables actually hold, which is what compaction bounds.
+        ``memo_entries`` always equals ``meter.live_memo_entries`` at rest
+        (the table indexes exactly the live committed entries);
+        ``alloc_entries`` includes dead allocation sites until the next
+        :meth:`compact`.
         """
         return {
             "memo_entries": sum(len(v) for v in self.memo_table.values()),
             "memo_buckets": len(self.memo_table),
-            "dead_memo_entries": self._dead_memo_entries,
             "alloc_entries": len(self.alloc_table),
         }
 
@@ -2493,54 +2363,60 @@ class Engine:
     def _delete_range(self, a: Stamp, b: Optional[Stamp]) -> None:
         """Delete stamps strictly between ``a`` and ``b``, retracting owners.
 
-        Owners are discarded in a first pass (discard never touches the
-        order), then the whole chain is unlinked with one bulk
-        :meth:`~repro.sac.order.Order.delete_range` splice.
+        One walk: :meth:`~repro.sac.order.Order.delete_range` unlinks the
+        chain and hands back the records anchored on it.  A dead memo
+        entry leaves its table bucket here, so ``memo_table`` only ever
+        indexes live committed entries.
         """
-        node = a.next
-        if node is None or node is b:
+        owners = self.order.delete_range(a, b)
+        if not owners:
             return
         hook = self.hook
-        if hook is None:
-            # Inlined ReadEdge.discard / MemoEntry.discard bodies: this
-            # walk retracts every record of a re-executed read's old
-            # sub-trace, so the per-record method call is measurable.
-            meter = self.meter
-            edge_pool = self._edge_pool
-            edge_cap = self.EDGE_POOL_CAP
-            feeds_summary = self._feeds_summary
-            while node is not None and node is not b:
-                owner = node.owner
-                if owner is not None:
-                    if type(owner) is ReadEdge:
-                        owner.dead = True
-                        if feeds_summary:
-                            self._note_edge_death(owner)
-                        owner.mod.readers.discard(owner)
-                        owner.mod = None
-                        owner.reader = None
-                        owner.dest = None
-                        meter.live_edges -= 1
-                        if not owner.dirty and len(edge_pool) < edge_cap:
-                            owner.start = None
-                            owner.end = None
-                            edge_pool.append(owner)
+        if hook is not None:
+            for owner in owners:
+                owner.discard(self)
+                hook.on_discard(owner)
+            return
+        # Inlined ReadEdge.discard / MemoEntry.discard bodies (plus
+        # recycling, which hooks forbid): this loop retracts every record
+        # of a re-executed read's old sub-trace, so the per-record method
+        # call is measurable.
+        meter = self.meter
+        edge_pool = self._edge_pool
+        edge_cap = self.EDGE_POOL_CAP
+        memo_pool = self._memo_pool
+        memo_cap = self.MEMO_POOL_CAP
+        memo_table = self.memo_table
+        feeds_summary = self._feeds_summary
+        for owner in owners:
+            if type(owner) is ReadEdge:
+                owner.dead = True
+                if feeds_summary:
+                    self._note_edge_death(owner)
+                owner.mod.readers.discard(owner)
+                owner.mod = None
+                owner.reader = None
+                owner.dest = None
+                meter.live_edges -= 1
+                if not owner.dirty and len(edge_pool) < edge_cap:
+                    owner.start = None
+                    owner.end = None
+                    edge_pool.append(owner)
+            else:
+                owner.dead = True
+                owner.result = None
+                meter.live_memo_entries -= 1
+                if owner.end is not None:
+                    bucket = memo_table[owner.key]
+                    if len(bucket) == 1:
+                        del memo_table[owner.key]
                     else:
-                        owner.dead = True
-                        owner.result = None
-                        meter.live_memo_entries -= 1
-                        self._dead_memo_entries += 1
-                    node.owner = None
-                node = node.next
-        else:
-            while node is not None and node is not b:
-                owner = node.owner
-                if owner is not None:
-                    owner.discard(self)
-                    node.owner = None
-                    hook.on_discard(owner)
-                node = node.next
-        self.order.delete_range(a, b)
+                        bucket.remove(owner)
+                if len(memo_pool) < memo_cap:
+                    owner.key = None
+                    owner.start = None
+                    owner.end = None
+                    memo_pool.append(owner)
 
     # ------------------------------------------------------------------
     # Convenience combinators (AFL-style library surface)

@@ -360,7 +360,7 @@ class Order:
         bucket.next = None
         self.n_buckets -= 1
 
-    def delete_range(self, a: Stamp, b: Optional[Stamp]) -> None:
+    def delete_range(self, a: Stamp, b: Optional[Stamp]) -> list:
         """Remove every stamp strictly between ``a`` and ``b`` (one splice).
 
         Equivalent to calling :meth:`delete` on each stamp in the range,
@@ -369,19 +369,26 @@ class Order:
         contiguous stamps, so the per-call bookkeeping is worth hoisting.
         ``b`` may be None to mean "end of the order".  ``a`` and ``b``
         themselves are kept; ``b is a`` names an empty interval.
+
+        Returns the owners the removed stamps carried, in order, so the
+        engine retracts them without walking the range a second time.
         """
+        owners: list = []
         if b is a:
-            return
+            return owners
         node = a.next
         if node is None or node is b:
-            return
+            return owners
         pool = self._pool
         base_bucket = self._base_bucket
         removed = 0
         while node is not None and node is not b:
             nxt = node.next
+            owner = node.owner
+            if owner is not None:
+                owners.append(owner)
+                node.owner = None
             node.live = False
-            node.owner = None
             node.prev = None
             node.next = None
             bucket = node.bucket
@@ -402,6 +409,7 @@ class Order:
         else:
             b.prev = a
         self.n_live -= removed
+        return owners
 
     # ------------------------------------------------------------------
     # Inspection helpers (used by the engine and by tests)

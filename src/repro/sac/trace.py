@@ -8,10 +8,10 @@ so that deleting a time range retracts exactly the records created in it.
 Both records are ``__slots__``-packed and recycled through engine free-lists
 once fully retracted (see :class:`repro.sac.engine.Engine`): a discarded
 edge that is not sitting in the dirty queue goes straight back to the pool,
-a queued one when it is finally popped, and a dead memo entry when lazy
-pruning or compaction removes it from its table bucket.  Recycling is
-skipped while an observability hook is attached, because hooks name records
-by identity.
+a queued one when it is finally popped, and a memo entry as soon as it
+dies (it leaves its table bucket in the same step).  Recycling is skipped
+while an observability hook is attached, because hooks name records by
+identity.
 
 The propagation heap does *not* compare these records: the engine stores
 ``(key, tiebreak, edge)`` tuples whose leading ints decide the order at C
@@ -120,17 +120,20 @@ class MemoEntry:
     def discard(self, engine: Any) -> None:
         """Retract this entry: called when its start stamp is deleted.
 
-        The stored result is dropped eagerly (a dead entry can never be
-        spliced, so the value is unreachable through the trace), and the
-        entry is reported to the engine's dead-entry account, which drives
-        memo-table compaction (:meth:`repro.sac.engine.Engine.compact`).
-        The entry itself stays in its table bucket until lazy pruning or
-        compaction removes it -- that is where it is recycled.
+        The stored result is dropped (a dead entry can never be spliced),
+        and a committed entry leaves its memo-table bucket at once, so the
+        table never holds a dead entry.  An open entry (``end is None``,
+        its body still running or aborted) was never in a bucket.
         """
         self.dead = True
         self.result = None
         engine.meter.live_memo_entries -= 1
-        engine._dead_memo_entries += 1
+        if self.end is not None:
+            bucket = engine.memo_table[self.key]
+            if len(bucket) == 1:
+                del engine.memo_table[self.key]
+            else:
+                bucket.remove(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         at = self.start.key if self.start is not None else "?"

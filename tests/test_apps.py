@@ -20,6 +20,28 @@ def test_list_apps_verify(name):
     assert result.changes == 14
 
 
+@pytest.mark.parametrize("backend", ["stack", "interp"])
+def test_msort_refuses_a_repeated_element_before_running(backend):
+    """Equal elements never separate under msort's value-bit division, so
+    the run would not end; the data is refused before anything runs."""
+    from repro.apps.listops import RepeatedElementError
+
+    session = Session("msort", backend=backend)
+    with pytest.raises(RepeatedElementError, match="3 repeats") as exc_info:
+        session.run(data=[3, 1, 3, 2])
+    assert isinstance(exc_info.value, ValueError)
+    assert session.input_handle is None
+    assert session.engine.order.n_live == 1  # nothing recorded
+    with pytest.raises(RepeatedElementError):
+        Session("msort", backend=backend).prepare([7, 7])
+    app = REGISTRY["msort"]
+    with pytest.raises(RepeatedElementError):
+        app.make_conv_input([2, 2])
+    # Distinct data with zero and negative values sorts fine.
+    data = [0, -5, 3, 2, -1]
+    assert app.readback(Session("msort", backend=backend).run(data=data)) == sorted(data)
+
+
 @pytest.mark.parametrize("name", VECTOR_APPS)
 def test_vector_apps_verify(name):
     verify_app(REGISTRY[name], n=40, changes=14, seed=12)

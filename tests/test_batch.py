@@ -23,6 +23,7 @@ from repro.api import Session, values_close
 from repro.apps import REGISTRY
 
 from .cases import CASES, start
+from .test_table_residency import assert_resident
 
 # Input sizes chosen per app family to keep the suite fast (matrix apps
 # square their input; the raytracer's n is the image size).
@@ -103,8 +104,8 @@ def test_batched_propagation_does_less_work(backend):
 
 
 def test_trace_size_bounded_over_many_batched_edits():
-    """500 batched edits leave the trace within 1.5x of a fresh run and
-    keep the memo/alloc tables swept (the compaction invariant)."""
+    """500 batched edits leave the trace within 1.5x of a fresh run, and
+    the memo table indexes exactly the live entries (no dead residue)."""
     app = REGISTRY["map"]
     rng = random.Random(17)
     session = Session(app)
@@ -123,14 +124,8 @@ def test_trace_size_bounded_over_many_batched_edits():
 
     assert session.trace_size() <= 1.5 * fresh.trace_size()
 
-    # Compaction kept the dead-entry backlog below the live population
-    # (plus the sweep-trigger threshold).
-    residency = session.engine.table_residency()
-    live = session.engine.meter.live_memo_entries
-    assert residency["dead_memo_entries"] <= max(
-        session.engine.compact_threshold, live
-    )
-    assert session.engine.meter.compactions > 0
+    # Dead memo entries left their buckets as they died.
+    assert_resident(session.engine)
 
 
 # ----------------------------------------------------------------------

@@ -231,13 +231,17 @@ def test_forward_run_in_full_bucket_splits_once(k):
 def test_delete_range_matches_per_stamp_deletes(seed):
     """Bulk delete_range(a, b) must leave exactly the state that per-stamp
     deletes of the strict interior would: same survivors, same liveness
-    flags, same counts, valid structure."""
+    flags, same counts, valid structure.  It hands back the owners of the
+    removed stamps, in order."""
     rng = random.Random(seed)
     order = Order()
     reference = [order.base]
     for _ in range(rng.randrange(2, 120)):
         index = rng.randrange(len(reference))
         reference.insert(index + 1, order.insert_after(reference[index]))
+    for stamp in reference[1:]:
+        if rng.random() < 0.5:
+            stamp.owner = object()
     i = rng.randrange(len(reference))
     open_ended = rng.random() < 0.3
     if open_ended:
@@ -246,7 +250,8 @@ def test_delete_range_matches_per_stamp_deletes(seed):
         j = rng.randrange(i, len(reference))
         b = reference[j]
     interior = reference[i + 1 : j]
-    order.delete_range(reference[i], b)
+    owners = [s.owner for s in interior if s.owner is not None]
+    assert order.delete_range(reference[i], b) == owners
     for stamp in interior:
         assert not stamp.live
         assert stamp.owner is None
@@ -255,6 +260,6 @@ def test_delete_range_matches_per_stamp_deletes(seed):
     assert order.n_live == len(survivors)
     order.check()
     # Deleting an empty range is a no-op.
-    order.delete_range(reference[i], b)
+    assert order.delete_range(reference[i], b) == []
     assert list(order) == survivors
     order.check()

@@ -291,6 +291,29 @@ def test_protocol_errors_keep_the_connection_alive():
     asyncio.run(main())
 
 
+def test_msort_open_with_a_repeated_element_gets_an_error_frame():
+    """Opening msort on data with a repeated element must answer a typed
+    error frame instead of hanging the server (the run would not end)."""
+
+    async def main():
+        pool = SessionPool()
+        server = await serve(pool)
+        host, port = server.sockets[0].getsockname()[:2]
+        client = await Client.connect(host, port)
+        with pytest.raises(ServerError) as exc_info:
+            await client.open("bad", app="msort", data=[3, 1, 3, 2])
+        assert exc_info.value.exc_type == "RepeatedElementError"
+        assert "bad" not in pool.docs
+        info = await client.open("good", app="msort", data=[3, 1, 2])
+        assert info["value"] == [1, 2, 3]
+        await client.close()
+        server.close()
+        await server.wait_closed()
+        await pool.stop()
+
+    asyncio.run(main())
+
+
 def test_many_concurrent_clients_oracle_checked():
     """The spreadsheet-service shape in miniature: concurrent clients on
     separate connections hammer separate documents; every document's
