@@ -305,6 +305,10 @@ class Session:
         except BaseException:
             self.engine.truncate_after(checkpoint)
             raise
+        if not self.engine.queue:
+            # Nothing is dirty, so the run left every read consistent
+            # with every input, edits staged before it included.
+            self.engine.mark_last_good()
         return self.output
 
     # -- edits and propagation ------------------------------------------
@@ -790,19 +794,27 @@ class Session:
 
         return load_session(path, app, backend=backend, hook=hook)
 
-    def enable_journal(self, path: str, *, fsync: bool = True):
+    def enable_journal(
+        self,
+        path: str,
+        *,
+        fsync: bool = True,
+        resume: Optional[Tuple[int, int]] = None,
+    ):
         """Turn on the write-ahead edit journal at ``path``.
 
         Every subsequent :meth:`edit` (including edits inside
         :meth:`batch` scopes) is durably appended before it returns.
         Journaled edits must address named handles with
         JSON-representable values -- the handles are how replay finds the
-        cells in a restored session.  Returns the
+        cells in a restored session.  ``resume`` is the ``(last seq,
+        clean boundary)`` pair :func:`repro.persist.read_journal` returned
+        for ``path``, sparing the appender a second read of it.  Returns the
         :class:`repro.persist.EditJournal`.
         """
         from repro.persist import EditJournal
 
-        self._journal = EditJournal(path, fsync=fsync)
+        self._journal = EditJournal(path, fsync=fsync, resume=resume)
         return self._journal
 
     def disable_journal(self) -> None:

@@ -24,7 +24,7 @@ from repro.persist.errors import (
     SnapshotMismatchError,
     SnapshotStateError,
 )
-from repro.persist.journal import EditJournal, replay_journal
+from repro.persist.journal import EditJournal, read_journal, replay_journal
 from repro.persist.snapshot import (
     FORMAT_VERSION,
     inspect_snapshot,
@@ -46,6 +46,7 @@ __all__ = [
     "JournalError",
     "JournalCorruptError",
     "EditJournal",
+    "read_journal",
     "replay_journal",
     "save_session",
     "load_session",

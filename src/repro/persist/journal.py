@@ -23,7 +23,9 @@ Resuming an existing journal first truncates it back to the end of its
 last clean record: appending after torn crash bytes would otherwise
 merge the new record into one CRC-failing line, turning a recoverable
 tail into what replay must treat as mid-file corruption -- silently
-losing every record written after the resume.
+losing every record written after the resume.  A caller that has just
+replayed the file hands the appender :func:`read_journal`'s ``resume``
+pair, so the file is read once per reopen.
 """
 
 from __future__ import annotations
@@ -36,40 +38,49 @@ from typing import Any, List, Optional, Tuple
 
 from repro.persist.errors import JournalCorruptError, JournalError
 
-__all__ = ["EditJournal", "replay_journal"]
+__all__ = ["EditJournal", "read_journal", "replay_journal"]
 
 log = logging.getLogger("repro.persist.journal")
 
 
 class EditJournal:
-    """Appender for one document's write-ahead journal."""
+    """Appender for one document's write-ahead journal.
 
-    def __init__(self, path: str, *, fsync: bool = True) -> None:
+    ``resume`` is :func:`read_journal`'s ``(last seq, clean boundary)``
+    for this file; without it, an existing file is scanned for them.
+    """
+
+    def __init__(
+        self,
+        path: str,
+        *,
+        fsync: bool = True,
+        resume: Optional[Tuple[int, int]] = None,
+    ) -> None:
         self.path = path
         self.fsync = fsync
-        self.seq = 0
         self.appended = 0
         self._f = open(path, "ab")
         size = os.fstat(self._f.fileno()).st_size
-        if size:
-            # Resuming an existing journal: continue the sequence, and
-            # cut the file back to the last clean record boundary so the
-            # next append starts a fresh line (see the module docstring).
-            with open(path, "rb") as existing:
-                records, keep, _bad = _scan(existing.read())
-            self.seq = max((s for s, _e in records), default=0)
-            if keep != size:
-                log.warning(
-                    "journal %r: resuming past a torn/corrupt tail; "
-                    "truncating %d byte(s) back to the last clean record "
-                    "boundary (%d record(s) kept)",
-                    path,
-                    size - keep,
-                    len(records),
-                )
-                self._f.truncate(keep)
-                if self.fsync:
-                    os.fsync(self._f.fileno())
+        if resume is None:
+            records, keep, _bad = _scan(_read(path) if size else b"")
+            resume = (_last_seq(records), keep)
+        # Resuming an existing journal: continue the sequence, and cut
+        # the file back to the last clean record boundary so the next
+        # append starts a fresh line (see the module docstring).
+        self.seq, keep = resume
+        if keep != size:
+            log.warning(
+                "journal %r: resuming past a torn/corrupt tail; "
+                "truncating %d byte(s) back to the last clean record "
+                "boundary (after seq %d)",
+                path,
+                size - keep,
+                self.seq,
+            )
+            self._f.truncate(keep)
+            if self.fsync:
+                os.fsync(self._f.fileno())
 
     def encode(self, edits: List[Tuple[str, Any]]) -> bytes:
         """Serialize one edit batch to a complete journal record.
@@ -162,12 +173,26 @@ def replay_journal(path: str) -> List[Tuple[int, List[Tuple[str, Any]]]]:
     failure *before* the tail -> :class:`JournalCorruptError` with the
     clean prefix attached as ``exc.records``.
     """
+    return read_journal(path)[0]
+
+
+def read_journal(
+    path: str,
+) -> Tuple[List[Tuple[int, List[Tuple[str, Any]]]], Tuple[int, int]]:
+    """:func:`replay_journal`, plus where an appender resumes the file.
+
+    Returns ``(records, resume)``: ``resume`` is ``(last seq, clean
+    boundary)``, the byte offset just past the last clean record.  Pass
+    it as ``EditJournal(path, resume=resume)`` to resume the journal
+    without reading it again.  A :class:`JournalCorruptError` carries
+    both, as ``exc.records`` and ``exc.resume``.
+    """
     try:
-        with open(path, "rb") as f:
-            blob = f.read()
+        blob = _read(path)
     except FileNotFoundError:
-        return []
-    records, _keep, bad = _scan(blob)
+        return [], (0, 0)
+    records, keep, bad = _scan(blob)
+    resume = (_last_seq(records), keep)
     if bad is not None:
         line_no, at_tail = bad
         if not at_tail:
@@ -176,6 +201,7 @@ def replay_journal(path: str) -> List[Tuple[int, List[Tuple[str, Any]]]]:
                 f"check in {path!r}"
             )
             exc.records = records
+            exc.resume = resume
             raise exc
         log.warning(
             "journal %r: final record (line %d) failed its CRC check and "
@@ -184,7 +210,16 @@ def replay_journal(path: str) -> List[Tuple[int, List[Tuple[str, Any]]]]:
             path,
             line_no,
         )
-    return records
+    return records, resume
+
+
+def _read(path: str) -> bytes:
+    with open(path, "rb") as f:
+        return f.read()
+
+
+def _last_seq(records: List[Tuple[int, List[Tuple[str, Any]]]]) -> int:
+    return max((s for s, _e in records), default=0)
 
 
 def _scan(

@@ -2268,6 +2268,12 @@ class Engine:
             self.hook.on_rollback(len(journal), recovery_reexecuted, restaged)
         return len(journal), recovery_reexecuted, restaged
 
+    def mark_last_good(self) -> None:
+        """Take the current inputs as the last-good state :meth:`rollback`
+        restores, forgetting the edits staged so far.  Sound only with
+        nothing dirty, i.e. every read consistent with every input."""
+        self._edit_log = []
+
     # ------------------------------------------------------------------
     # Allocation-table compaction
 

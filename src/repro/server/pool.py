@@ -29,8 +29,9 @@ three things on top that a lone ``Session`` cannot provide:
   are acknowledged, checkpoints are written every ``checkpoint_every``
   acknowledged edits (piggybacking on drain completion, so checkpoints
   never race a propagation), and ``open`` of a previously checkpointed
-  document recovers it -- run on the recorded inputs, replay the
-  journal suffix, carry on.  The checkpoint is the only copy of the
+  document recovers it in one run: the journal suffix is applied to the
+  recorded inputs before the run, and the journal is resumed, not
+  re-checkpointed.  The checkpoint is the only copy of the
   edits it absorbed, so one that cannot be read is refused with a
   :class:`DocError` (its files left as they are) rather than silently
   reverting them; siblings are unaffected.
@@ -66,7 +67,8 @@ from repro.persist import (
     SnapshotMismatchError,
     read_inputs,
 )
-from repro.persist import replay_journal as _replay_journal
+# (a module-level name, so a profiler can wrap it as the replay layer)
+from repro.persist import read_journal as _replay_journal
 from repro.sac.exceptions import (
     EnginePoisonedError,
     PropagationBudgetExceeded,
@@ -378,14 +380,13 @@ class SessionPool:
         output is a single modifiable.
 
         With ``checkpoint_dir`` set, a document that was checkpointed by
-        a previous process is **recovered**: it runs on the input data
-        its checkpoint recorded, the journal suffix is replayed, and the
-        durable state (every acknowledged edit) wins over the
+        a previous process is **recovered** (:meth:`_open_checkpoint`):
+        the durable state (every acknowledged edit) wins over the
         ``data``/``seed`` arguments.  A checkpoint of another app yields
-        to them (counted under ``snapshot_failures``).  One that cannot
-        be read -- torn, flipped, truncated, or recording no inputs --
-        makes ``open`` raise :class:`DocError` and leaves the checkpoint
-        files as they are.
+        to them, journal and all (counted under ``snapshot_failures``);
+        an open on fresh data checkpoints at once.  One that cannot be
+        read -- torn, flipped, truncated, or recording no inputs -- makes
+        ``open`` raise :class:`DocError` and leaves its files as they are.
         """
         if name in self.docs:
             raise DocError(name, f"document {name!r} is already open")
@@ -395,12 +396,12 @@ class SessionPool:
             )
         doc_mode = mode or self.mode
         doc_backend = backend if backend is not None else self.backend
-        session = None
+        doc = None
         if self.checkpoint_dir is not None:
-            snap, _wal = self._doc_paths(name)
+            snap, wal = self._doc_paths(name)
             if os.path.exists(snap):
                 try:
-                    session = self._open_checkpoint(
+                    doc = self._open_checkpoint(
                         name, app, doc_mode, doc_backend
                     )
                 except SnapshotMismatchError as exc:
@@ -416,30 +417,21 @@ class SessionPool:
                         f"refusing an open that would drop acknowledged "
                         f"edits (checkpoint files left in place)",
                     ) from exc
-        recovered = session is not None
-        if session is None:
+        if doc is None:
             session = Session(app, mode=doc_mode, backend=doc_backend)
             if data is None:
                 data = session.app.make_data(n, random.Random(seed))
             session.run(data=data)
-        doc = PooledDoc(name=name, session=session, mode=doc_mode)
-        doc.recovered = recovered
-        self._bind_handles(doc)
-        if self.checkpoint_dir is not None:
-            _snap, wal = self._doc_paths(name)
-            doc.replayed = self._replay_into(doc, wal)
-            if session.engine.queue:
-                if doc_mode == "lazy":
-                    session.demand()
-                else:
-                    session.propagate()
-            doc.journal = session.enable_journal(
-                wal, fsync=self.journal_fsync
-            )
-            if not (recovered and doc.replayed == 0):
-                # (a reopened document with nothing replayed runs on
-                # exactly the inputs its checkpoint already records)
+            doc = PooledDoc(name=name, session=session, mode=doc_mode)
+            self._bind_handles(doc)
+            if self.checkpoint_dir is not None:
+                # Any journal on disk extended a checkpoint this document
+                # does not run on; the fresh checkpoint resets it.
+                doc.journal = session.enable_journal(
+                    wal, fsync=self.journal_fsync
+                )
                 self._checkpoint(doc)
+        session = doc.session
         self.docs[name] = doc
         self.opened += 1
         value = session.output
@@ -451,7 +443,7 @@ class SessionPool:
             "backend": session.backend,
             "cells": len(doc.cells),
             "value": value,
-            "recovered": recovered,
+            "recovered": doc.recovered,
             "replayed": doc.replayed,
         }
 
@@ -488,13 +480,14 @@ class SessionPool:
         engine and clears the handle registry).
         """
         session = doc.session
-        doc.cells = []
-        mods = getattr(session.input_handle, "mods", None)
-        if mods is not None:
-            for i, mod in enumerate(mods):
-                doc.cells.append(session.handle(mod, f"cell:{i}"))
+        mods = getattr(session.input_handle, "mods", ())
+        doc.cells = [session.handle(m, f"cell:{i}") for i, m in enumerate(mods)]
+        self._bind_out(doc)
+
+    def _bind_out(self, doc: PooledDoc) -> None:
         from repro.sac.modifiable import Modifiable
 
+        session = doc.session
         doc.out = None
         if isinstance(session.output, Modifiable):
             doc.out = session.handle(session.output, "out")
@@ -533,9 +526,10 @@ class SessionPool:
         app: Optional[str],
         mode: str,
         backend: Optional[str],
-    ) -> Session:
-        """A fresh session run on the inputs the document's checkpoint
-        recorded.
+    ) -> PooledDoc:
+        """The document run once on its checkpoint's inputs with the
+        journal suffix applied, its journal resumed (the replayed edits
+        count toward the next checkpoint).
 
         A checkpoint absorbs the journal it supersedes, so its inputs may
         be the only copy of acknowledged edits.  Raises
@@ -544,7 +538,7 @@ class SessionPool:
         recorded backend applies unless ``backend`` overrides it or this
         build lacks it.
         """
-        snap, _wal = self._doc_paths(name)
+        snap, wal = self._doc_paths(name)
         header, data = read_inputs(snap)
         content = header.get("content", {})
         if content.get("app") != app:
@@ -554,22 +548,30 @@ class SessionPool:
             )
         if backend is None and content.get("backend") in BACKENDS:
             backend = content["backend"]
-        session = Session(app, mode=mode, backend=backend)
-        session.run(data=data)
-        return session
+        session = Session(app, mode=mode, backend=backend).prepare(data=data)
+        doc = PooledDoc(name=name, session=session, mode=mode, recovered=True)
+        self._bind_handles(doc)
+        resume = self._replay_into(doc, wal)
+        doc.ops_since_checkpoint = doc.replayed
+        session.run()
+        self._bind_out(doc)
+        doc.journal = session.enable_journal(
+            wal, fsync=self.journal_fsync, resume=resume
+        )
+        return doc
 
-    def _replay_into(self, doc: PooledDoc, wal: str) -> int:
-        """Re-stage the journal's edits into the document's session.
+    def _replay_into(self, doc: PooledDoc, wal: str) -> Tuple[int, int]:
+        """Set the journaled values in the unrun document's input cells
+        (counted in ``doc.replayed``); return ``read_journal``'s resume.
 
-        Absolute values make replay idempotent (records the checkpoint
-        already absorbed cut off on equality), a torn tail is the normal
+        Absolute values make replay idempotent, a torn tail is the normal
         crash signature and is dropped, and corruption earlier in the
         file keeps the clean prefix -- every acknowledged-and-durable
         edit that can be recovered, is.
         """
         session = doc.session
         try:
-            records = _replay_journal(wal)
+            records, resume = _replay_journal(wal)
         except JournalCorruptError as exc:
             doc.snapshot_failures += 1
             self.snapshot_failures += 1
@@ -579,8 +581,7 @@ class SessionPool:
                 doc.name,
                 len(exc.records),
             )
-            records = exc.records
-        applied = 0
+            records, resume = exc.records, exc.resume
         for _seq, edits in records:
             for handle, value in edits:
                 try:
@@ -595,8 +596,8 @@ class SessionPool:
                         exc,
                     )
                     continue
-                applied += 1
-        return applied
+                doc.replayed += 1
+        return resume
 
     def _checkpoint(self, doc: PooledDoc) -> bool:
         """Cut a checkpoint and truncate the absorbed journal (best
@@ -667,16 +668,14 @@ class SessionPool:
         reopened from its last checkpoint plus the journal suffix (raises
         ``PersistError``/``OSError`` when the checkpoint cannot be used;
         the caller escalates)."""
-        _snap, wal = self._doc_paths(doc.name)
         old = doc.session
         app = old.app.name if old.app is not None else None
-        session = self._open_checkpoint(doc.name, app, doc.mode, old.backend)
+        new = self._open_checkpoint(doc.name, app, doc.mode, old.backend)
         old.disable_journal()
-        doc.session = session
-        doc.journal = None
-        self._bind_handles(doc)
-        doc.replayed += self._replay_into(doc, wal)
-        doc.journal = session.enable_journal(wal, fsync=self.journal_fsync)
+        doc.session, doc.cells, doc.out = new.session, new.cells, new.out
+        doc.journal = new.journal
+        doc.replayed += new.replayed
+        doc.snapshot_failures += new.snapshot_failures
 
     # -- admission quotas -----------------------------------------------
 
@@ -986,8 +985,8 @@ class SessionPool:
         clean on the next slice).  After ``max_rollbacks`` consecutive
         rollbacks -- or when the engine is poisoned -- escalate: first to
         a **reopen from the last checkpoint** (checkpointing pools only;
-        a fresh session runs on the recorded inputs, the journal suffix
-        replayed, so no acknowledged edit is lost -- and it works even
+        a fresh session runs once on the recorded inputs with the journal
+        suffix applied, so no acknowledged edit is lost -- and it works even
         when the live engine is poisoned), then to a from-scratch
         rebuild, which replaces the engine and re-binds the wire
         handles.  If nothing applies, the document (and only the

@@ -37,6 +37,7 @@ from repro.persist import (
     FORMAT_VERSION,
     inspect_snapshot,
     read_header,
+    read_journal,
     replay_journal,
 )
 
@@ -458,6 +459,49 @@ def test_journal_resume_truncates_corrupt_tail_line(tmp_path):
         assert journal.seq == 2
         assert journal.append([("cell:9", 9.0)]) == 3
     assert [s for s, _ in replay_journal(path)] == [1, 2, 3]
+
+
+def test_journal_resumes_from_a_replay_without_rereading(tmp_path, monkeypatch):
+    """``read_journal`` returns the replayed records plus ``(last seq,
+    clean boundary)``; an appender handed that pair never reads the file
+    again, and still cuts a torn tail or a corrupt suffix back to the
+    boundary before appending."""
+    import repro.persist.journal as journal_module
+
+    path = str(tmp_path / "resume3.wal")
+    with EditJournal(path) as journal:
+        for i in range(3):
+            journal.append([(f"cell:{i}", float(i))])
+    lines = open(path, "rb").read().splitlines(keepends=True)
+
+    def no_rescan(_blob):
+        raise AssertionError("the appender re-read the journal")
+
+    # Torn tail: the crash tore record 3.
+    open(path, "wb").write(b"".join(lines)[:-5])
+    records, resume = read_journal(path)
+    assert [s for s, _ in records] == [1, 2]
+    assert resume == (2, len(lines[0]) + len(lines[1]))
+    monkeypatch.setattr(journal_module, "_scan", no_rescan)
+    with EditJournal(path, resume=resume) as journal:
+        assert journal.append([("cell:7", 7.0)]) == 3
+    monkeypatch.undo()
+    assert [s for s, _ in replay_journal(path)] == [1, 2, 3]
+
+    # Corrupt prefix: the error carries the clean prefix and its boundary.
+    bad = lines[1]
+    lines[1] = bad[:10] + bytes([bad[10] ^ 1]) + bad[11:]
+    open(path, "wb").write(b"".join(lines))
+    with pytest.raises(JournalCorruptError) as exc_info:
+        read_journal(path)
+    assert [s for s, _ in exc_info.value.records] == [1]
+    assert exc_info.value.resume == (1, len(lines[0]))
+    monkeypatch.setattr(journal_module, "_scan", no_rescan)
+    with EditJournal(path, resume=exc_info.value.resume) as journal:
+        assert journal.append([("cell:8", 8.0)]) == 2
+    monkeypatch.undo()
+    assert replay_journal(path) == [(1, [("cell:0", 0.0)]), (2, [("cell:8", 8.0)])]
+    assert read_journal(str(tmp_path / "absent.wal")) == ([], (0, 0))
 
 
 def test_journal_corrupt_final_line_dropped_but_logged(tmp_path, caplog):

@@ -20,7 +20,12 @@ from repro.api import Session, values_close
 from repro.apps import REGISTRY
 from repro.obs.faults import FaultInjector, PlantedFault
 from repro.obs.invariants import check_trace
-from repro.persist import SnapshotMismatchError, read_header, read_snapshot
+from repro.persist import (
+    SnapshotMismatchError,
+    read_header,
+    read_snapshot,
+    replay_journal,
+)
 from repro.persist.snapshot import MAGIC, write_snapshot
 from repro.server import (
     CellTypeError,
@@ -802,6 +807,195 @@ def test_pool_recovery_ladder_uses_restore_rung(tmp_path):
         # The journaled edit survived the restore.
         assert (await pool.get("doc", "cell:5"))["value"] == 2.5
         await pool.stop()
+
+    asyncio.run(main())
+
+
+# Reopen = one from-scratch run on the checkpoint's inputs with the
+# journal suffix applied; the journal is resumed, not re-checkpointed.
+
+
+def _crashed_pool(tmp_path, mode, backend, edits, **kw):
+    """A pool that journaled ``edits`` after its document's first
+    checkpoint and was then abandoned (the SIGKILL stand-in: no stop(),
+    no final checkpoint)."""
+
+    async def main():
+        pool = SessionPool(
+            mode=mode, backend=backend, checkpoint_dir=str(tmp_path), **kw
+        )
+        pool.open("doc", app="vec-reduce", n=16, seed=3)
+        for cell, value in edits:
+            await pool.edit("doc", cell, value)
+        return pool._doc_paths("doc")
+
+    return asyncio.run(main())
+
+
+def _random_edits(rng, k):
+    return [(f"cell:{rng.randrange(16)}", rng.uniform(-4, 4)) for _ in range(k)]
+
+
+@pytest.mark.parametrize("backend", ["interp", "stack"])
+@pytest.mark.parametrize("mode", ["eager", "lazy"])
+def test_pool_reopen_runs_once_on_replayed_inputs(tmp_path, mode, backend):
+    """A recovered open applies the journal suffix to the recorded inputs
+    and runs once: its value and meter equal a fresh session's on those
+    inputs exactly (no propagation, no demand), and it writes no
+    checkpoint -- the journal is resumed, counting toward the next one."""
+    from repro.persist import read_inputs
+
+    edits = _random_edits(random.Random(7), 5)
+    snap, wal = _crashed_pool(
+        tmp_path, mode, backend, edits, checkpoint_every=10_000
+    )
+    blob = open(snap, "rb").read()
+    _header, data = read_inputs(snap)
+    for cell, value in edits:
+        data[int(cell.split(":")[1])] = value
+
+    reborn = SessionPool(mode=mode, checkpoint_dir=str(tmp_path))
+    info = reborn.open("doc", app="vec-reduce")
+    assert (info["recovered"], info["replayed"]) == (True, len(edits))
+    session = reborn.docs["doc"].session
+    assert session.app.handle_data(session.input_handle) == data
+    fresh = Session("vec-reduce", mode=mode, backend=backend)
+    fresh.run(data=data)
+    assert info["value"] == fresh.app.readback(fresh.output)
+    assert session.engine.meter.snapshot() == fresh.engine.meter.snapshot()
+    assert (session.propagations, session.demands) == (0, 0)
+    # The run is the last-good state: rollback has nothing to undo.
+    assert session.engine.rollback() == (0, 0, 0)
+    assert reborn.checkpoints == 0
+    assert open(snap, "rb").read() == blob
+    assert reborn.docs["doc"].ops_since_checkpoint == len(edits)
+    assert len(replay_journal(wal)) == len(edits)
+
+
+@pytest.mark.parametrize("backend", ["interp", "stack"])
+@pytest.mark.parametrize("mode", ["eager", "lazy"])
+def test_pool_second_crash_replays_both_suffixes(tmp_path, mode, backend):
+    """crash -> reopen (k replayed) -> m more edits -> crash -> reopen
+    replays k + m: the resumed journal kept the first suffix."""
+    rng = random.Random(11)
+    first, second = _random_edits(rng, 3), _random_edits(rng, 4)
+    _crashed_pool(tmp_path, mode, backend, first, checkpoint_every=10_000)
+
+    async def main():
+        pool = SessionPool(
+            mode=mode, checkpoint_dir=str(tmp_path), checkpoint_every=10_000
+        )
+        assert pool.open("doc", app="vec-reduce")["replayed"] == len(first)
+        for cell, value in second:
+            await pool.edit("doc", cell, value)
+        live = (await pool.demand("doc"))["value"]
+        assert pool.checkpoints == 0
+
+        reborn = SessionPool(mode=mode, checkpoint_dir=str(tmp_path))
+        info = reborn.open("doc", app="vec-reduce")
+        assert (info["recovered"], info["replayed"]) == (True, 7)
+        assert info["backend"] == backend
+        assert values_close(info["value"], live)
+        assert values_close(info["value"], _expected(reborn, "doc"))
+        for cell, value in dict(first + second).items():
+            assert (await reborn.get("doc", cell))["value"] == value
+        await reborn.stop()
+
+    asyncio.run(main())
+
+
+@pytest.mark.parametrize("backend", ["interp", "stack"])
+@pytest.mark.parametrize("mode", ["eager", "lazy"])
+def test_pool_crash_cycles_keep_the_journal_bounded(tmp_path, mode, backend):
+    """A reopened document counts its replayed suffix toward the next
+    checkpoint, so crash/reopen cycles that each add one batch keep the
+    journal below ``checkpoint_every`` plus one batch."""
+    every, size = 8, 5
+    rng = random.Random(5)
+    _crashed_pool(tmp_path, mode, backend, [], checkpoint_every=every)
+    wal = None
+
+    async def cycle():
+        pool = SessionPool(
+            mode=mode, checkpoint_dir=str(tmp_path), checkpoint_every=every
+        )
+        info = pool.open("doc", app="vec-reduce")
+        await pool.batch("doc", [list(e) for e in _random_edits(rng, size)])
+        got = await pool.demand("doc")
+        assert values_close(got["value"], _expected(pool, "doc"))
+        return info, pool._doc_paths("doc")[1]
+
+    checkpoints = 0
+    for _ in range(6):
+        info, wal = asyncio.run(cycle())
+        journaled = sum(len(edits) for _s, edits in replay_journal(wal))
+        assert info["replayed"] < every + size
+        assert journaled < every + size
+        checkpoints += journaled < info["replayed"] + size
+    assert checkpoints >= 2
+
+
+@pytest.mark.parametrize("backend", ["interp", "stack"])
+@pytest.mark.parametrize("mode", ["eager", "lazy"])
+def test_pool_restore_rung_replays_the_journal_suffix(tmp_path, mode, backend):
+    """The restore rung reopens like open does -- the journal suffix
+    applied to the recorded inputs, one run -- and ends
+    oracle-consistent, with every journaled edit, the faulting one
+    included."""
+    edits = _random_edits(random.Random(3), 4)
+
+    async def main():
+        pool = SessionPool(
+            mode=mode,
+            backend=backend,
+            checkpoint_dir=str(tmp_path),
+            checkpoint_every=10_000,
+            max_rollbacks=1,
+        )
+        pool.open("doc", app="vec-reduce", n=16, seed=4)
+        for cell, value in edits:
+            await pool.edit("doc", cell, value)
+        await pool.demand("doc")
+        doc = pool.docs["doc"]
+        doc.session.engine.attach_hook(
+            FaultInjector("read", at=0, during="propagate", repeat=True)
+        )
+        await pool.edit("doc", "cell:5", 2.5)
+        got = await pool.demand("doc")
+        assert (doc.restores, doc.rebuilds, doc.failed) == (1, 0, False)
+        assert doc.replayed == len(edits) + 1
+        assert doc.session.backend == backend
+        assert values_close(got["value"], _expected(pool, "doc"))
+        for cell, value in dict(edits + [("cell:5", 2.5)]).items():
+            assert (await pool.get("doc", cell))["value"] == value
+        # The resumed journal keeps taking edits after the restore.
+        await pool.edit("doc", "cell:6", -1.5)
+        got = await pool.demand("doc")
+        assert values_close(got["value"], _expected(pool, "doc"))
+        _snap, wal = pool._doc_paths("doc")
+        assert len(replay_journal(wal)) == len(edits) + 2
+
+    asyncio.run(main())
+
+
+@pytest.mark.parametrize("app", ["msort", "map"])
+def test_pool_open_on_another_apps_checkpoint_drops_its_journal(tmp_path, app):
+    """A checkpoint of another app yields to the call's data, and so
+    does the journal that extends it: nothing is replayed onto the fresh
+    document, whose own first checkpoint resets the journal."""
+    snap, wal = _crashed_pool(
+        tmp_path, "eager", None, [("cell:0", 1.5)], checkpoint_every=10_000
+    )
+
+    async def main():
+        reborn = SessionPool(mode="eager", checkpoint_dir=str(tmp_path))
+        info = reborn.open("doc", app=app, n=4, seed=1)
+        assert (info["recovered"], info["replayed"]) == (False, 0)
+        assert reborn.snapshot_failures == 1
+        assert values_close(info["value"], _expected(reborn, "doc"))
+        assert replay_journal(wal) == []
+        assert read_header(snap)["content"]["app"] == app
+        await reborn.stop()
 
     asyncio.run(main())
 
