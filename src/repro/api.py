@@ -343,13 +343,21 @@ class Session:
                 # The durable write failed after the edit was staged:
                 # undo it, so the state the caller sees (and any later
                 # checkpoint) agrees with the failure they are told
-                # about.  The re-dirtied reads cut off on equality at
-                # the next propagation.
-                if dirtied:
+                # about.  Test the value, not ``dirtied``: an edit whose
+                # readers were all dirty already dirties nothing yet
+                # still changes the cell.  The re-dirtied reads cut off
+                # on equality at the next propagation.
+                if target.value is not restore:
                     try:
                         self.engine.change(target, restore)
-                    except Exception:
-                        pass  # the journal failure is the primary error
+                    except Exception as undo_exc:
+                        # The journal failure stays the primary error;
+                        # the cell may now hold a refused value, so the
+                        # engine must not be trusted.
+                        self.engine.poison(
+                            f"undoing the refused journaled edit of "
+                            f"{name!r} raised {undo_exc!r}"
+                        )
                 raise
             return dirtied
         return self.engine.change(self.resolve(mod), value)

@@ -22,13 +22,15 @@ continuation records:
 * ``K_DONE`` / ``K_DONEC`` -- the run's entry sentinel (stable value /
   re-executed reader).
 
-The machine does not call the engine's recursive ``mod``/``read``/
-``memo`` (which run their bodies synchronously); it drives the split
-halves (``mod_begin``/``mod_end``, ``read_begin``/``read_end``,
-``memo_probe``/``memo_commit``) and interleaves them with its own
-dispatch, producing the *identical* engine-primitive sequence -- same
-stamps, meters, memo keys, hook events -- as the interpreter
-(``tests/test_backends_differential.py`` holds the two meter-exact).
+The engine implements each primitive once, as split halves
+(``mod_begin``/``mod_end``, ``read_begin``/``read_end``,
+``memo_probe``/``memo_commit``); the ``mod``/``read``/``memo`` the
+interpreter calls are wrappers that run their bodies synchronously
+between the halves.  The machine calls the halves directly and
+interleaves them with its own dispatch, producing the *identical*
+engine-primitive sequence -- same stamps, meters, memo keys, hook
+events -- as the interpreter (``tests/test_backends_differential.py``
+holds the two meter-exact and their hook event streams equal).
 
 Re-execution enters the machine the same way it enters the interpreter:
 each ``READ`` registers a :class:`StackReader` as the edge's

@@ -489,39 +489,47 @@ class Engine:
         the engine exactly as it was.  Failures inside propagation are
         handled by :meth:`propagate`'s transactional re-execution instead.
         """
-        if self._poison is not None:
-            self._check_usable()
-        dest = Modifiable()
-        self.meter.mods_created += 1
-        if self.hook is not None:
-            self.hook.on_mod_create(dest, False, False)
-        dest_stack = self._dest_stack
-        if self._mod_depth == 0 and self._reexec_depth == 0:
-            checkpoint = self.now
-            self._mod_depth += 1
-            dest_stack.append(dest)
-            try:
-                comp(dest)
-                if dest.value is UNWRITTEN:
-                    raise UnwrittenModError("mod body finished without writing")
-            except BaseException:
-                self.truncate_after(checkpoint)
-                raise
-            finally:
-                self._mod_depth -= 1
-                dest_stack.pop()
-        else:
-            # Nested / propagation-time mods are the hot case: no
-            # transaction checkpoint (propagate() owns recovery there).
-            self._mod_depth += 1
-            dest_stack.append(dest)
-            try:
-                comp(dest)
-                if dest.value is UNWRITTEN:
-                    raise UnwrittenModError("mod body finished without writing")
-            finally:
-                self._mod_depth -= 1
-                dest_stack.pop()
+        dest, checkpoint = self.mod_begin()
+        try:
+            comp(dest)
+        except BaseException:
+            self.mod_abort(dest, checkpoint)
+            raise
+        self.mod_end(dest, checkpoint)
+        return dest
+
+    def keyed_mod(self, key: Hashable, comp: Callable[[Modifiable], None]) -> Modifiable:
+        """``mod`` with *keyed destination allocation* (AFL's "unsafe"
+        low-level interface, paper Section 4.9).
+
+        When a computation is re-executed, a plain ``mod`` allocates a fresh
+        modifiable, so consumers holding the old one see an identity change
+        even if the contents are equal.  ``keyed_mod`` recycles the
+        modifiable previously allocated under ``key`` -- provided its old
+        allocation site is dead or lies in the current reuse zone (i.e. is
+        about to be discarded) -- so an equal re-write is a no-op and
+        propagation cuts off.  This is what makes merge-based algorithms'
+        output spines identity-stable (see ``repro.bench.handwritten``'s
+        keyed msort).
+
+        Unlike ``memo``, the computation always re-runs; only the
+        *identity* is reused.  The caller must ensure keys are unique among
+        simultaneously live allocations (e.g. include the element value and
+        an instance identifier); when a live allocation outside the reuse
+        zone already holds the key, a fresh modifiable is allocated instead,
+        which is always sound.
+
+        Like :meth:`mod`, an outermost ``keyed_mod`` is transactional: a
+        raising ``comp`` truncates the partial trace (including this
+        call's allocation stamp) back to the pre-call checkpoint.
+        """
+        dest, checkpoint = self.mod_begin(key)
+        try:
+            comp(dest)
+        except BaseException:
+            self.mod_abort(dest, checkpoint)
+            raise
+        self.mod_end(dest, checkpoint)
         return dest
 
     def read(self, mod: Modifiable, reader: Callable[[Any], None]) -> None:
@@ -530,85 +538,13 @@ class Engine:
         ``reader`` is changeable code: it will be re-executed (with the new
         value) whenever ``mod`` changes.
         """
-        if self._mod_depth == 0 and self._reexec_depth == 0:
-            raise ReadOutsideModError("read outside the scope of any mod")
-        value = mod.value
-        if value is UNWRITTEN:
-            raise UnwrittenModError("read of an unwritten modifiable")
-        drain_feeds = self._drain_feeds
-        if drain_feeds is not None:
-            # Demand-drain hazard checks (see :class:`_DemandStaleRead`).
-            # A suspect modifiable outside the demand's relevance cone may
-            # be arbitrarily stale -- and stale structure can be *cyclic*
-            # (keyed_mod identity recycling), in which case following it
-            # diverges rather than converging through re-dirtying.  Refuse
-            # the read and let the drain widen the cone so the feeders run
-            # first.  The depth count is the backstop for a reader that
-            # slipped past the refusal and is chasing a loop anyway.
-            if self._drain_mask is not None:
-                if self._suspectish(mod) and not self._dest_relevant(
-                    mod, drain_feeds
-                ):
-                    raise _DemandStaleRead(mod)
-            elif mod.suspect and not self._feeds(mod, drain_feeds):
-                raise _DemandStaleRead(mod)
-            if self._demand_reads.get(id(mod), 0) >= self.CYCLE_READ_DEPTH:
-                raise _DemandStaleRead(mod)
-        # Hottest engine primitive: _advance() is inlined and the meter is
-        # fetched once (two stamps + two counters per read add up).
-        insert_after = self._insert_after
-        start = self.now = insert_after(self.now)
-        dest_stack = self._dest_stack
-        dest = dest_stack[-1] if dest_stack else None
-        pool = self._edge_pool
-        if pool:
-            edge = pool.pop()
-            edge.mod = mod
-            edge.reader = reader
-            edge.start = start
-            edge.end = None
-            edge.dest = dest
-            edge.dirty = False
-            edge.dead = False
-            self.edges_reused += 1
-        else:
-            edge = ReadEdge(mod, reader, start, dest)
-        start.owner = edge
-        mod.readers.add(edge)
-        if self._feeds_summary:
-            self._note_new_edge(edge)
-        meter = self.meter
-        meter.reads_executed += 1
-        meter.live_edges += 1
-        hook = self.hook
-        if hook is not None:
-            hook.on_read_start(edge)
-        if drain_feeds is None:
+        edge, value = self.read_begin(mod, reader)
+        try:
             reader(value)
-        else:
-            # Depth-count this read so the cycle backstop above can spot a
-            # reader chasing its own tail through stale structure.  Every
-            # mod is counted, not just suspect ones: a stale loop can pass
-            # through recycled cells that sit on no dirty dest chain.
-            reads = self._demand_reads
-            rkey = id(mod)
-            reads[rkey] = reads.get(rkey, 0) + 1
-            try:
-                reader(value)
-            finally:
-                depth = reads[rkey] - 1
-                if depth:
-                    reads[rkey] = depth
-                else:
-                    del reads[rkey]
-        # A leaf read -- its body recorded nothing -- closes on its own
-        # start stamp: an empty interval costs no end stamp.
-        now = self.now
-        if now is not start:
-            now = self.now = insert_after(now)
-        edge.end = now
-        if hook is not None:
-            hook.on_read_end(edge)
+        except BaseException:
+            self.read_abort(edge)
+            raise
+        self.read_end(edge)
 
     def write(self, dest: Modifiable, value: Any) -> None:
         """Write ``value`` into destination ``dest``.
@@ -1137,71 +1073,6 @@ class Engine:
                     f"{self._dirty_roots:#x}, root bit {t.root_bit:#x})"
                 )
 
-    def keyed_mod(self, key: Hashable, comp: Callable[[Modifiable], None]) -> Modifiable:
-        """``mod`` with *keyed destination allocation* (AFL's "unsafe"
-        low-level interface, paper Section 4.9).
-
-        When a computation is re-executed, a plain ``mod`` allocates a fresh
-        modifiable, so consumers holding the old one see an identity change
-        even if the contents are equal.  ``keyed_mod`` recycles the
-        modifiable previously allocated under ``key`` -- provided its old
-        allocation site is dead or lies in the current reuse zone (i.e. is
-        about to be discarded) -- so an equal re-write is a no-op and
-        propagation cuts off.  This is what makes merge-based algorithms'
-        output spines identity-stable (see ``repro.bench.handwritten``'s
-        keyed msort).
-
-        Unlike ``memo``, the computation always re-runs; only the
-        *identity* is reused.  The caller must ensure keys are unique among
-        simultaneously live allocations (e.g. include the element value and
-        an instance identifier); when a live allocation outside the reuse
-        zone already holds the key, a fresh modifiable is allocated instead,
-        which is always sound.
-
-        Like :meth:`mod`, an outermost ``keyed_mod`` is transactional: a
-        raising ``comp`` truncates the partial trace (including this
-        call's allocation stamp) back to the pre-call checkpoint.
-        """
-        self._check_usable()
-        outermost = self._mod_depth == 0 and self._reexec_depth == 0
-        checkpoint = self.now if outermost else None
-        dest: Optional[Modifiable] = None
-        entry = self.alloc_table.get(key)
-        if entry is not None:
-            old_mod, old_stamp, old_gen = entry
-            # A generation mismatch means the recorded stamp died and was
-            # recycled by the order's free-list for an unrelated position:
-            # treat it exactly like a dead allocation site.
-            if old_stamp.gen != old_gen or not old_stamp.live:
-                dest = old_mod
-            elif (
-                self.reuse_limit is not None
-                and self.now.key < old_stamp.key <= self.reuse_limit.key
-            ):
-                dest = old_mod  # doomed: lies in the current reuse zone
-        recycled = dest is not None
-        if dest is None:
-            dest = Modifiable()
-            self.meter.mods_created += 1
-        if self.hook is not None:
-            self.hook.on_mod_create(dest, False, recycled)
-        stamp = self._advance()
-        self.alloc_table[key] = (dest, stamp, stamp.gen)
-        self._mod_depth += 1
-        self._dest_stack.append(dest)
-        try:
-            comp(dest)
-            if dest.value is UNWRITTEN:
-                raise UnwrittenModError("keyed_mod body finished without writing")
-        except BaseException:
-            if outermost:
-                self.truncate_after(checkpoint)
-            raise
-        finally:
-            self._mod_depth -= 1
-            self._dest_stack.pop()
-        return dest
-
     # ------------------------------------------------------------------
     # Memoization
 
@@ -1221,34 +1092,28 @@ class Engine:
         return result
 
     # ------------------------------------------------------------------
-    # Split primitives (stack-machine backend)
+    # Split primitives: the one implementation of ``read`` and ``mod``
     #
-    # ``mod``/``read``/``memo`` above run their body synchronously: the
-    # engine calls back into the backend (``comp``/``reader``/``thunk``)
-    # and stamps the interval end after the callback returns, so every
-    # traced nesting level costs a live Python frame.  The stack-machine
-    # backend (:mod:`repro.compile.stackmachine`) replaces that host
-    # recursion with an explicit control stack, which requires the same
-    # protocols split into begin/end/abort halves it can interleave with
-    # its own dispatch.  ``memo`` is already a wrapper over its halves;
-    # the ``mod``/``read`` halves mirror their recursive originals line
-    # for line -- same stamps in the same order, same meter increments,
-    # same hook emissions, same pooling, same demand-hazard checks -- and
-    # the differential grid in ``tests/test_backends_differential.py``
-    # holds them to meter-exact equality.  When editing ``mod``/``read``,
-    # edit these too.
+    # Each primitive is a begin half, which does everything before the
+    # body callback, and an end half (body returned) or abort half (body
+    # raised).  ``read``, ``mod``, ``keyed_mod`` and ``memo`` above are
+    # thin wrappers that call the body between the halves; the
+    # stack-machine backend (:mod:`repro.compile.stackmachine`) calls the
+    # halves directly and interleaves them with its own dispatch, so an
+    # explicit control stack replaces host recursion.  Both shapes thus
+    # share every stamp, meter, hook emission and hazard check.
 
     def read_begin(
         self, mod: Modifiable, reader: Callable[[Any], None]
     ) -> Tuple[ReadEdge, Any]:
         """First half of :meth:`read`: register the edge, return its value.
 
-        Performs everything :meth:`read` does up to (but excluding) the
-        ``reader(value)`` callback: hazard checks, start stamp, edge
-        allocation and registration, meters, hooks, and the demand-drain
-        depth count.  The caller must execute the reader body itself and
-        finish with :meth:`read_end` (success) or :meth:`read_abort`
-        (exception unwinding).
+        Performs everything up to (but excluding) the ``reader(value)``
+        callback: hazard checks, start stamp, edge allocation and
+        registration, meters, hooks, and the demand-drain depth count.  The
+        caller must execute the reader body itself and finish with
+        :meth:`read_end` (success) or :meth:`read_abort` (exception
+        unwinding).
         """
         if self._mod_depth == 0 and self._reexec_depth == 0:
             raise ReadOutsideModError("read outside the scope of any mod")
@@ -1257,6 +1122,15 @@ class Engine:
             raise UnwrittenModError("read of an unwritten modifiable")
         drain_feeds = self._drain_feeds
         if drain_feeds is not None:
+            # Demand-drain hazard checks (see :class:`_DemandStaleRead`).
+            # A suspect modifiable outside the demand's relevance cone may
+            # be arbitrarily stale -- and stale structure can be *cyclic*
+            # (keyed allocation recycles identities), in which case
+            # following it diverges rather than converging through
+            # re-dirtying.  Refuse the read and let the drain widen the cone
+            # so the feeders run first.  The depth count is the backstop
+            # for a reader that slipped past the refusal and is chasing a
+            # loop anyway.
             if self._drain_mask is not None:
                 if self._suspectish(mod) and not self._dest_relevant(
                     mod, drain_feeds
@@ -1292,6 +1166,9 @@ class Engine:
         if self.hook is not None:
             self.hook.on_read_start(edge)
         if drain_feeds is not None:
+            # Depth-count this read for the cycle backstop above.  Every mod
+            # is counted, not just suspect ones: a stale loop can pass
+            # through recycled cells that sit on no dirty dest chain.
             reads = self._demand_reads
             rkey = id(mod)
             reads[rkey] = reads.get(rkey, 0) + 1
@@ -1307,6 +1184,8 @@ class Engine:
                 reads[rkey] = depth
             else:
                 del reads[rkey]
+        # A leaf read -- its body recorded nothing -- closes on its own
+        # start stamp: an empty interval costs no end stamp.
         now = self.now
         if now is not edge.start:
             now = self.now = self._insert_after(now)
@@ -1317,11 +1196,9 @@ class Engine:
     def read_abort(self, edge: ReadEdge) -> None:
         """Unwind half of :meth:`read`: the reader body raised.
 
-        Mirrors the recursive ``read``'s ``finally`` when the reader
-        raises: only the demand-drain depth count is released -- no end
-        stamp, no hook.  Trace surgery is owned by the enclosing
-        transaction (outermost :meth:`mod` truncation or
-        ``_unwind_reexec``), exactly as for the recursive backends.
+        Only the demand-drain depth count is released -- no end stamp, no
+        hook.  Trace surgery is owned by the enclosing transaction
+        (outermost :meth:`mod` truncation or ``_unwind_reexec``).
         """
         if self._drain_feeds is not None:
             reads = self._demand_reads
@@ -1332,25 +1209,55 @@ class Engine:
             elif depth == 0:
                 del reads[rkey]
 
-    def mod_begin(self) -> Tuple[Modifiable, Optional[Stamp]]:
-        """First half of :meth:`mod`: allocate the destination.
+    def mod_begin(
+        self, key: Optional[Hashable] = None
+    ) -> Tuple[Modifiable, Optional[Stamp]]:
+        """First half of :meth:`mod` and :meth:`keyed_mod`: allocate the
+        destination.
 
         Returns ``(dest, checkpoint)``; ``checkpoint`` is non-None exactly
         when this is an *outermost* mod (no enclosing mod, not inside
         propagation), in which case the caller must pass it back to
-        :meth:`mod_abort` so a failed body truncates the partial trace.
+        :meth:`mod_end`/:meth:`mod_abort` so a failed body truncates the
+        partial trace.  With a ``key``, the destination is allocated as
+        :meth:`keyed_mod` describes, and a fresh allocation stamp (after
+        the checkpoint) records it under ``key``.
         """
         if self._poison is not None:
             self._check_usable()
-        dest = Modifiable()
-        self.meter.mods_created += 1
-        if self.hook is not None:
-            self.hook.on_mod_create(dest, False, False)
         checkpoint = (
             self.now
             if self._mod_depth == 0 and self._reexec_depth == 0
             else None
         )
+        if key is None:
+            dest = Modifiable()
+            self.meter.mods_created += 1
+            if self.hook is not None:
+                self.hook.on_mod_create(dest, False, False)
+        else:
+            dest = None
+            entry = self.alloc_table.get(key)
+            if entry is not None:
+                old_mod, old_stamp, old_gen = entry
+                # A generation mismatch means the recorded stamp died and
+                # was recycled by the order's free-list for an unrelated
+                # position: treat it exactly like a dead allocation site.
+                if old_stamp.gen != old_gen or not old_stamp.live:
+                    dest = old_mod
+                elif (
+                    self.reuse_limit is not None
+                    and self.now.key < old_stamp.key <= self.reuse_limit.key
+                ):
+                    dest = old_mod  # doomed: lies in the current reuse zone
+            recycled = dest is not None
+            if dest is None:
+                dest = Modifiable()
+                self.meter.mods_created += 1
+            if self.hook is not None:
+                self.hook.on_mod_create(dest, False, recycled)
+            stamp = self._advance()
+            self.alloc_table[key] = (dest, stamp, stamp.gen)
         self._mod_depth += 1
         self._dest_stack.append(dest)
         return dest, checkpoint
@@ -1360,9 +1267,8 @@ class Engine:
     ) -> None:
         """Second half of :meth:`mod`: the body completed normally."""
         if dest.value is UNWRITTEN:
-            # Same order as the recursive original: the outermost
-            # transaction truncates (``except``) before the depth/dest
-            # bookkeeping unwinds (``finally``).
+            # The outermost transaction truncates before the depth/dest
+            # bookkeeping unwinds, as in :meth:`mod_abort`.
             if checkpoint is not None:
                 self.truncate_after(checkpoint)
             self._mod_depth -= 1
@@ -1390,7 +1296,7 @@ class Engine:
         which case the caller must run the thunk body and finish with
         :meth:`memo_commit`.  If the body raises, no cleanup call is
         needed: the entry's open interval is reclaimed by the enclosing
-        transaction's truncation, as in the recursive original.
+        transaction's truncation.
         """
         self._check_usable()
         entries = self.memo_table.get(key)
@@ -2283,7 +2189,7 @@ class Engine:
         Trace records leave their tables when they die: :meth:`_delete_range`
         retracts every record of a spliced-out interval, and a memo entry
         leaves its ``memo_table`` bucket in that same step.  Only
-        ``alloc_table`` (filled by :meth:`keyed_mod`) keeps entries whose
+        ``alloc_table`` (filled by ``mod_begin(key)``) keeps entries whose
         allocation site died; dropping one is always sound, and the only
         cost is that a *later* re-allocation under the same key gets a
         fresh modifiable instead of recycling the old identity.

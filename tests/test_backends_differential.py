@@ -21,8 +21,10 @@ import random
 
 import pytest
 
+from repro.api import Session
 from repro.apps import REGISTRY
 from repro.backends import BACKENDS
+from repro.obs.events import EventLog
 from repro.sac.engine import Engine
 
 #: Per-app input size and change count, kept small: the grid below runs
@@ -120,3 +122,38 @@ def test_backends_agree_coarse(name):
         REGISTRY[name], 12, 5,
         memoize=True, optimize_flag=False, coarse=True,
     )
+
+
+def _event_stream(name, backend, mode):
+    """``(kind, info)`` of every hook event through one run, one removal
+    and the settling propagation or demand.  ``key`` (a memo key's repr,
+    which names backend closures) is dropped, and under lazy mode so are
+    ``dirty-mark`` events, whose order follows set iteration."""
+    app = REGISTRY[name]
+    log = EventLog(maxlen=None, values=False)
+    session = Session(app, backend=backend, mode=mode, hook=log)
+    session.run(data=app.make_data(16, random.Random(3)))
+    session.input_handle.remove(2)
+    if mode == "lazy":
+        session.demand()
+    else:
+        session.propagate()
+    return [
+        (ev.kind, {k: v for k, v in ev.info.items() if k != "key"})
+        for ev in log.events
+        if not (mode == "lazy" and ev.kind == "dirty-mark")
+    ]
+
+
+@pytest.mark.parametrize("mode", ["eager", "lazy"])
+@pytest.mark.parametrize("name", ["msort", "qsort", "filter", "map"])
+def test_backends_emit_identical_hook_events(name, mode):
+    """Meters can agree while the primitives run in another order; the
+    hook event stream pins the order (and every stamp label) too."""
+    streams = {b: _event_stream(name, b, mode) for b in BACKENDS}
+    interp = streams.pop("interp")
+    assert len(interp) > 100
+    for backend, stream in streams.items():
+        for i, (a, b) in enumerate(zip(interp, stream)):
+            assert a == b, f"{name}/{mode}: event {i} differs on {backend}"
+        assert len(interp) == len(stream)

@@ -306,6 +306,53 @@ def test_keyed_mod_fresh_when_key_live_elsewhere():
     assert a.peek() == 1 and b.peek() == 2
 
 
+@pytest.mark.parametrize("keyed", [False, True], ids=["mod", "keyed_mod"])
+@pytest.mark.parametrize("failure", ["raises", "unwritten"])
+def test_outermost_mod_failure_is_transactional(keyed, failure):
+    """An outermost ``mod`` or ``keyed_mod`` whose body raises, or
+    finishes without writing, truncates everything the body recorded --
+    its own keyed allocation stamp included -- and leaves the engine as it
+    was before the call.  The dead keyed sites then recycle their
+    modifiables."""
+    engine = Engine()
+    x = engine.make_input(3)
+    engine.mod(lambda d: engine.read(x, lambda v: engine.write(d, v + 1)))
+    size, now = engine.trace_size(), engine.now
+    outer = []
+
+    def body(dest):
+        outer.append(dest)
+
+        def on_x(v):
+            engine.mod(lambda d: engine.write(d, v))
+            engine.keyed_mod(("inner", v), lambda d: engine.write(d, v))
+            if failure == "raises":
+                raise ValueError("body failed")
+
+        engine.read(x, on_x)
+
+    expected = ValueError if failure == "raises" else UnwrittenModError
+    with pytest.raises(expected):
+        if keyed:
+            engine.keyed_mod("site", body)
+        else:
+            engine.mod(body)
+    assert engine.trace_size() == size
+    assert engine.now is now
+    assert engine._mod_depth == 0
+    assert engine._dest_stack == []
+    engine.order.check()
+    check_trace(engine)
+
+    sites = [("inner", 3)] + (["site"] if keyed else [])
+    for key in sites:
+        old, stamp, gen = engine.alloc_table[key]
+        assert stamp.gen != gen or not stamp.live
+        assert engine.keyed_mod(key, lambda d: engine.write(d, 7)) is old
+    if keyed:
+        assert engine.alloc_table["site"][0] is outer[0]
+
+
 def test_keyed_mod_requires_write():
     engine = Engine()
     with pytest.raises(UnwrittenModError):

@@ -25,6 +25,7 @@ import pytest
 import repro
 from repro.api import Session, values_close
 from repro.apps import REGISTRY
+from repro.sac.exceptions import EnginePoisonedError
 from repro.persist import (
     EditJournal,
     JournalCorruptError,
@@ -547,6 +548,65 @@ def test_session_edit_rolls_back_when_journal_write_fails(tmp_path):
     session.propagate()
     expected = app.reference(app.handle_data(session.input_handle))
     assert values_close(app.readback(session.output), expected)
+
+
+def test_refused_journaled_edit_is_undone_when_it_dirtied_nothing(tmp_path):
+    """A second edit of a lazy cell before any demand dirties no reads
+    (its readers are dirty already), yet it changes the cell.  If its
+    durable append fails, it is undone all the same: neither reads nor a
+    later checkpoint may include the refused value."""
+    app = REGISTRY[SCALAR_APP]
+    session = Session(app, mode="lazy")
+    session.run(data=[1.0, 2.0, 3.0, 4.0])
+    _bind_cells(session)
+    wal = str(tmp_path / "lazy.wal")
+    journal = session.enable_journal(wal)
+    assert session.edit("cell:1", 10.0) > 0
+
+    def boom(record):
+        raise OSError("disk full")
+
+    journal.commit = boom
+    with pytest.raises(OSError):
+        session.edit("cell:1", 99.0)
+    del journal.commit
+
+    assert session.resolve("cell:1").value == 10.0
+    assert not session.engine.poisoned
+    assert replay_journal(wal) == [(1, [("cell:1", 10.0)])]
+    session.demand()
+    assert values_close(app.readback(session.output), 18.0)
+
+
+def test_failed_undo_of_refused_journaled_edit_poisons(tmp_path):
+    """When undoing a refused journaled edit itself raises, the cell may
+    still hold the refused value, so the engine is poisoned (naming the
+    cell) and refuses further work; the journal failure stays the error
+    the caller sees."""
+    app = REGISTRY[SCALAR_APP]
+    session = Session(app, mode="lazy")
+    session.run(data=[1.0, 2.0, 3.0, 4.0])
+    _bind_cells(session)
+    journal = session.enable_journal(str(tmp_path / "undo.wal"))
+    real_change = session.engine.change
+    calls = []
+
+    def change_once(mod, value):
+        calls.append(value)
+        if len(calls) > 1:
+            raise RuntimeError("undo failed")
+        return real_change(mod, value)
+
+    def boom(record):
+        raise OSError("disk full")
+
+    session.engine.change = change_once
+    journal.commit = boom
+    with pytest.raises(OSError):
+        session.edit("cell:2", 50.0)
+    assert calls == [50.0, 3.0]
+    with pytest.raises(EnginePoisonedError, match="'cell:2'"):
+        session.demand()
 
 
 # ----------------------------------------------------------------------

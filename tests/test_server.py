@@ -619,6 +619,74 @@ def test_pool_replays_journal_suffix_after_simulated_kill(tmp_path):
     asyncio.run(main())
 
 
+def test_pool_refused_lazy_edit_is_not_staged(tmp_path):
+    """A lazy document's second edit of a cell before any read dirties
+    nothing.  When its journal append fails the client is told so, and
+    the edit must not be served, demanded or checkpointed afterwards."""
+
+    async def main():
+        pool = SessionPool(mode="lazy", checkpoint_dir=str(tmp_path))
+        pool.open("doc", app="vec-reduce", data=[1.0, 2.0, 3.0, 4.0])
+        await pool.edit("doc", "cell:1", 10.0)
+        journal = pool.docs["doc"].journal
+
+        def boom(record):
+            raise OSError("disk full")
+
+        journal.commit = boom
+        with pytest.raises(OSError):
+            await pool.edit("doc", "cell:1", 99.0)
+        del journal.commit
+        assert (await pool.get("doc", "cell:1"))["value"] == 10.0
+        assert values_close((await pool.demand("doc"))["value"], 18.0)
+        await pool.stop()  # final checkpoint
+
+        reborn = SessionPool(mode="lazy", checkpoint_dir=str(tmp_path))
+        assert reborn.open("doc", app="vec-reduce")["recovered"] is True
+        assert values_close((await reborn.demand("doc"))["value"], 18.0)
+        await reborn.stop()
+
+    asyncio.run(main())
+
+
+def test_pool_failed_undo_of_refused_edit_reopens_from_checkpoint(tmp_path):
+    """If undoing a refused journaled edit raises, the engine is
+    poisoned, and the next read reopens the document from its checkpoint
+    plus journal: only acknowledged edits survive."""
+
+    async def main():
+        pool = SessionPool(mode="lazy", checkpoint_dir=str(tmp_path))
+        pool.open("doc", app="vec-reduce", data=[1.0, 2.0, 3.0, 4.0])
+        await pool.edit("doc", "cell:1", 10.0)
+        doc = pool.docs["doc"]
+        engine = doc.session.engine
+        real_change = engine.change
+        calls = []
+
+        def change_once(mod, value):
+            calls.append(value)
+            if len(calls) > 1:
+                raise RuntimeError("undo failed")
+            return real_change(mod, value)
+
+        def boom(record):
+            raise OSError("disk full")
+
+        engine.change = change_once
+        doc.journal.commit = boom
+        with pytest.raises(OSError):
+            await pool.edit("doc", "cell:3", 40.0)
+        assert engine.poisoned
+        assert values_close((await pool.demand("doc"))["value"], 18.0)
+        assert doc.session.engine is not engine
+        stats = pool.stats("doc")
+        assert stats["restores"] == 1 and not stats["failed"]
+        assert (await pool.get("doc", "cell:3"))["value"] == 4.0
+        await pool.stop()
+
+    asyncio.run(main())
+
+
 def test_pool_corrupt_checkpoint_refuses_open(tmp_path):
     """A checkpoint is the only copy of the inputs it recorded, so a
     corrupted one refuses the open with a DocError: no silent revert to
