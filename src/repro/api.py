@@ -681,11 +681,6 @@ class Session:
         self.rebuilds += 1
         return self.run(data=data)
 
-    def compact(self) -> dict:
-        """Force an ``alloc_table`` sweep (normally automatic; memo entries
-        leave their table when they die); return ``{"alloc": removed}``."""
-        return self.engine.compact()
-
     # -- inputs ---------------------------------------------------------
 
     def input_list(self, items, nil: str = "Nil", cons: str = "Cons"):

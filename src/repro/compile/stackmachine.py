@@ -32,6 +32,11 @@ engine-primitive sequence -- same stamps, meters, memo keys, hook
 events -- as the interpreter (``tests/test_backends_differential.py``
 holds the two meter-exact and their hook event streams equal).
 
+A memoized call whose callee opens with its result ``mod``
+(``Code.keyed``) passes its allocation key, built from compile-time key
+slots, to ``memo_probe``; when the miss recycles a modifiable, the
+machine hands it to the callee's opening ``MOD``.
+
 Re-execution enters the machine the same way it enters the interpreter:
 each ``READ`` registers a :class:`StackReader` as the edge's
 reader callback, and ``Engine._drain`` re-invokes it with the new value.
@@ -64,6 +69,7 @@ from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core import sxml as S
+from repro.core.sxmlutil import opening_mod
 from repro.compile.closures import _Scope, _Unit, atom, local_slot, prim
 from repro.interp.builtins import BuiltinFn
 from repro.interp.values import (
@@ -88,8 +94,8 @@ OP_CASE = 4     # (op, g, slot, table, dflt)    table: tag -> (bslot, pc)
 OP_CASEK = 5    # (op, g, arms, dflt)           arms: (type, val) -> pc
 OP_CALL = 6     # (op, slot, gf, ga, cont)      stable application
 OP_TCALL = 7    # (op, gf, ga)                  tail application (a jump)
-OP_MEMO = 8     # (op, slot, gf, ga, cont)      memoized application
-OP_TMEMO = 9    # (op, gf, ga)                  tail memoized application
+OP_MEMO = 8     # (op, slot, gf, ga, gk, cont)  memoized application
+OP_TMEMO = 9    # (op, gf, ga, gk)              tail memoized application
 OP_MOD = 10     # (op, slot, cont)              body at pc+1; slot None=tail
 OP_READ = 11    # (op, gsrc, rcode, bslot)      terminal changeable read
 OP_READC = 12   # (op, gsrc)                    fused copy read
@@ -124,15 +130,19 @@ class _Ref:
 class Code:
     """One flattened frame unit: the top level, a lambda body, or a
     reader body.  ``size`` (frame length) and ``param`` (argument /
-    binder slot) are filled in after the whole unit is compiled."""
+    binder slot) are filled in after the whole unit is compiled.
+    ``keyed``: a lambda body that opens with its result ``mod``
+    (:func:`repro.core.sxmlutil.opening_mod`), so the first ``MOD`` it
+    executes allocates the value it returns."""
 
-    __slots__ = ("instrs", "size", "param", "name")
+    __slots__ = ("instrs", "size", "param", "name", "keyed")
 
     def __init__(self, name: str = "") -> None:
         self.instrs: Tuple[tuple, ...] = ()
         self.size = 0
         self.param = 0
         self.name = name
+        self.keyed = False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<stack code {self.name or 'unit'} [{len(self.instrs)}]>"
@@ -347,6 +357,7 @@ class _Flattener:
         inner = _Scope(unit, sc)
         code = Code(name or b.name_hint)
         code.param = inner.bind(b.param)
+        code.keyed = opening_mod(b.body) is not None
         em = _Flattener(self.rt, code.name)
         em.expr(b.body, inner, _RETK)
         code.instrs = em.finalize()
@@ -356,7 +367,28 @@ class _Flattener:
     # -- engine-boundary binds -----------------------------------------
 
     def _memo_getters(self, b: S.BMemoApp, sc: _Scope):
-        return atom(b.fn, sc), atom(b.arg, sc)
+        """Getters for the function, the argument and the allocation key
+        ``(site, *keys)``; the key getter reads compile-time slots."""
+        site = b.site
+        gs = [atom(k, sc) for k in b.keys]
+        if not site:
+            gk = None  # a hand-built call: unkeyed
+        elif not gs:
+            key = (site,)
+            gk = lambda f: key  # noqa: E731
+        elif len(gs) == 1:
+            (g1,) = gs
+            gk = lambda f: (site, g1(f))  # noqa: E731
+        elif len(gs) == 2:
+            g1, g2 = gs
+            gk = lambda f: (site, g1(f), g2(f))  # noqa: E731
+        elif len(gs) == 3:
+            g1, g2, g3 = gs
+            gk = lambda f: (site, g1(f), g2(f), g3(f))  # noqa: E731
+        else:
+            gs_t = tuple(gs)
+            gk = lambda f: (site, *[g(f) for g in gs_t])  # noqa: E731
+        return atom(b.fn, sc), atom(b.arg, sc), gk
 
     def bind_engine(self, b: S.Bind, slot: Optional[int], sc: _Scope,
                     cont) -> None:
@@ -372,8 +404,8 @@ class _Flattener:
             ga = atom(b.arg, sc)
             idx = self.emit([OP_CALL, slot, gf, ga, cont])
         elif t is S.BMemoApp:
-            gf, ga = self._memo_getters(b, sc)
-            idx = self.emit([OP_MEMO, slot, gf, ga, cont])
+            gf, ga, gk = self._memo_getters(b, sc)
+            idx = self.emit([OP_MEMO, slot, gf, ga, gk, cont])
         elif t is S.BMod:
             idx = self.emit([OP_MOD, slot, cont])
             self.cexpr(b.body, sc)
@@ -423,8 +455,8 @@ class _Flattener:
                                     atom(b.arg, sc),
                                 ])
                             elif tb is S.BMemoApp:
-                                gf, ga = self._memo_getters(b, sc)
-                                self.emit([OP_TMEMO, gf, ga])
+                                gf, ga, gk = self._memo_getters(b, sc)
+                                self.emit([OP_TMEMO, gf, ga, gk])
                             else:
                                 self.emit([OP_MOD, None, None])
                                 self.cexpr(b.body, sc)
@@ -739,6 +771,9 @@ class StackSelfAdjusting:
         push = ctrl.append
         pop = ctrl.pop
         pc = 0
+        #: a keyed memo miss's recycled modifiable, for the callee's
+        #: opening MOD (the next MOD the machine executes)
+        recycle = None
         try:
             while True:
                 # ---- dispatch until a value return (1) or unwind (2)
@@ -780,7 +815,11 @@ class StackSelfAdjusting:
                         else:
                             raise MatchFailure(f"no clause for {scrut.tag}")
                     elif op == OP_MOD:
-                        dmod, checkpoint = mod_begin()
+                        if recycle is None:
+                            dmod, checkpoint = mod_begin()
+                        else:
+                            dmod, checkpoint = mod_begin(None, recycle)
+                            recycle = None
                         push((
                             K_MOD, dmod, checkpoint, dest,
                             instrs, frame, ins[1], ins[2],
@@ -812,10 +851,10 @@ class StackSelfAdjusting:
                     elif op == OP_MEMO or op == OP_TMEMO:
                         tail = op == OP_TMEMO
                         if tail:
-                            _o, gf, ga = ins
+                            _o, gf, ga, gk = ins
                             slot = cont = None
                         else:
-                            _o, slot, gf, ga, cont = ins
+                            _o, slot, gf, ga, gk, cont = ins
                         fn = gf(frame)
                         kf = (
                             fn if type(fn) is StackClosure else memo_key(fn)
@@ -831,7 +870,13 @@ class StackSelfAdjusting:
                             ka = arg.memo_key()
                         else:
                             ka = memo_key(arg)
-                        hit, result, entry = memo_probe((kf, ka))
+                        hit, result, entry = memo_probe(
+                            (kf, ka),
+                            gk
+                            if type(fn) is StackClosure and fn.code.keyed
+                            else None,
+                            frame,
+                        )
                         if hit:
                             if tail:
                                 value = result
@@ -850,6 +895,7 @@ class StackSelfAdjusting:
                             frame = nf
                             instrs = rcode.instrs
                             pc = 0
+                            recycle = entry.result
                         elif isinstance(fn, BuiltinFn):
                             result = fn.fn(self, arg)
                             memo_commit(entry, result)

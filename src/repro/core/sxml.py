@@ -180,10 +180,19 @@ class BMod(Bind):
 
 @dataclass
 class BMemoApp(Bind):
-    """Memoized application (the compiler's memoization strategy)."""
+    """Memoized application (the compiler's memoization strategy).
+
+    ``site`` names the call site and ``keys`` are the stable scalar
+    variables in scope at it.  When the callee opens with its result
+    ``mod`` (:func:`repro.core.sxmlutil.opening_mod`), a memo miss
+    allocates that modifiable under ``(site, *values of keys)``, so a
+    re-executed call recycles the cell it allocated before.
+    """
 
     fn: Atom = None  # type: ignore[assignment]
     arg: Atom = None  # type: ignore[assignment]
+    site: str = ""
+    keys: List[Atom] = field(default_factory=list)
 
 
 # ----------------------------------------------------------------------

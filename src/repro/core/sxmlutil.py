@@ -100,7 +100,10 @@ def _sub_bind(b: S.Bind, env: Dict[str, S.Atom], rec) -> S.Bind:
     if isinstance(b, S.BApp):
         return S.BApp(ty=b.ty, fn=at(b.fn), arg=at(b.arg))
     if isinstance(b, S.BMemoApp):
-        return S.BMemoApp(ty=b.ty, fn=at(b.fn), arg=at(b.arg))
+        return S.BMemoApp(
+            ty=b.ty, fn=at(b.fn), arg=at(b.arg), site=b.site,
+            keys=[at(a) for a in b.keys],
+        )
     if isinstance(b, S.BTuple):
         return S.BTuple(ty=b.ty, items=[at(a) for a in b.items])
     if isinstance(b, S.BProj):
@@ -214,9 +217,14 @@ def _fv_bind(b: S.Bind, acc: Set[str], bound: Set[str]) -> None:
     elif isinstance(b, S.BPrim):
         for a in b.args:
             _fv_atom(a, acc, bound)
-    elif isinstance(b, (S.BApp, S.BMemoApp)):
+    elif isinstance(b, S.BApp):
         _fv_atom(b.fn, acc, bound)
         _fv_atom(b.arg, acc, bound)
+    elif isinstance(b, S.BMemoApp):
+        _fv_atom(b.fn, acc, bound)
+        _fv_atom(b.arg, acc, bound)
+        for a in b.keys:
+            _fv_atom(a, acc, bound)
     elif isinstance(b, S.BTuple):
         for a in b.items:
             _fv_atom(a, acc, bound)
@@ -347,8 +355,15 @@ def alpha_equal(a, b, env: Optional[Dict[str, str]] = None) -> bool:
         return a.op == b.op and len(a.args) == len(b.args) and all(
             alpha_equal(x, y, env) for x, y in zip(a.args, b.args)
         )
-    if isinstance(a, (S.BApp, S.BMemoApp)):
+    if isinstance(a, S.BApp):
         return alpha_equal(a.fn, b.fn, env) and alpha_equal(a.arg, b.arg, env)
+    if isinstance(a, S.BMemoApp):
+        return (
+            alpha_equal(a.fn, b.fn, env)
+            and alpha_equal(a.arg, b.arg, env)
+            and len(a.keys) == len(b.keys)
+            and all(alpha_equal(x, y, env) for x, y in zip(a.keys, b.keys))
+        )
     if isinstance(a, S.BTuple):
         return len(a.items) == len(b.items) and all(
             alpha_equal(x, y, env) for x, y in zip(a.items, b.items)
@@ -382,3 +397,48 @@ def alpha_equal(a, b, env: Optional[Dict[str, str]] = None) -> bool:
     if isinstance(a, S.BMod):
         return alpha_equal(a.body, b.body, env)
     raise AssertionError(f"unknown SXML node {a!r}")
+
+
+# ----------------------------------------------------------------------
+# Callee shape for keyed allocation
+
+#: binds that run no engine primitive other than ``impwrite`` and no
+#: control flow: the stack backend fuses exactly these into one
+#: ``STEPS`` instruction.
+_STEP_BINDS = (
+    S.BAtom, S.BAscribe, S.BPrim, S.BTuple, S.BProj, S.BCon, S.BLam,
+    S.BAssign, S.BMatchFail,
+)
+
+
+def opening_mod(body: S.Expr) -> Optional[S.ELet]:
+    """The ``let x = mod ce in ret x`` that ``body`` opens with, or None.
+
+    A function body *opens with its result mod* when only straight-line
+    binds (:data:`_STEP_BINDS`, letrec lambdas) precede a ``mod`` whose
+    destination the body returns.  The first modifiable such a call
+    allocates is then its result, which is what lets a memoized call
+    allocate it under a key (:class:`repro.core.sxml.BMemoApp`).  Both
+    backends decide keyed allocation with this one test.
+    """
+    e = body
+    while True:
+        t = type(e)
+        if t is S.ELetRec:
+            e = e.body
+        elif t is not S.ELet:
+            return None
+        elif type(e.bind) is S.BMod:
+            r = e.body
+            if (
+                type(r) is S.ERet
+                and type(r.atom) is S.AVar
+                and not r.atom.is_builtin
+                and r.atom.name == e.name
+            ):
+                return e
+            return None
+        elif type(e.bind) in _STEP_BINDS:
+            e = e.body
+        else:
+            return None

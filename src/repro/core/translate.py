@@ -29,7 +29,12 @@ Highlights (matching the paper's Figures 2 and 4):
   ``x := v`` becomes an imperative write;
 * changeable-mode recursive calls are memoized (``BMemoApp``) when
   ``memoize`` is on -- the compiler's counterpart of the AFL benchmarks'
-  memoization strategy (Section 4.1).
+  memoization strategy (Section 4.1).  Each memoized call also carries
+  its allocation key: the call site plus the stable scalar variables in
+  scope there (the level information says which ones are stable).  A
+  miss allocates the callee's result modifiable under that key, which
+  is the destination-passing keyed allocation of AFL's unsafe interface
+  and CEAL (paper Section 4.9), supplied by the types instead of by hand.
 
 The local rules deliberately generate redundant ``mod``/``read``/``write``
 triples in composite positions; the Section 3.4 optimizer removes them.
@@ -47,7 +52,7 @@ from repro.core import sxml as S
 from repro.core.freshen import fresh
 from repro.core.levels import LevelInfo, LTy
 from repro.lang.errors import LmlCompileError
-from repro.lang.types import Type
+from repro.lang.types import TCon, Type, force
 
 
 def translate(
@@ -161,6 +166,13 @@ class _Translator:
         self.memoize = memoize
         self.coarse = coarse
         self.rec_names: Set[str] = set()
+        #: the stable scalar variables in scope, innermost last: a memoized
+        #: call's allocation key.  None outside every lambda, where
+        #: top-level values are constant per program and key nothing.
+        self.scope: Optional[List[S.AVar]] = None
+        #: key variables plus the primitives computed from them alone
+        #: (names are globally unique, so one set serves every scope)
+        self.determined: Set[str] = set()
 
     # ------------------------------------------------------------------
 
@@ -209,6 +221,37 @@ class _Translator:
         return lty.level if lty is not None else "S"
 
     # ------------------------------------------------------------------
+    # Allocation-key scope
+
+    def scoped(self, name: Optional[str], ty: Type, translate, e, bind=None):
+        """``translate(e)`` with ``name`` in scope as a key variable when
+        it is a stable scalar (a stable ``int``, ``bool``, ``real``, ...,
+        but not ``unit``).  A primitive over constants and key variables
+        (``bind``) adds nothing to the key and stays out."""
+        scope = self.scope
+        if scope is None or name is None or not self.levels.has(name):
+            return translate(e)
+        if type(bind) is S.BPrim and all(
+            type(a) is S.AConst or a.name in self.determined for a in bind.args
+        ):
+            self.determined.add(name)
+            return translate(e)
+        lty = self.levels.lty(name)
+        fty = force(ty)
+        if (
+            lty.kind != "base"
+            or lty.level != "S"
+            or not isinstance(fty, TCon)
+            or fty.name == "unit"
+        ):
+            return translate(e)
+        scope.append(S.AVar(ty=ty, name=name))
+        self.determined.add(name)
+        out = translate(e)
+        scope.pop()
+        return out
+
+    # ------------------------------------------------------------------
     # Stable mode
 
     def expr(self, e: S.Expr) -> S.Expr:
@@ -217,7 +260,7 @@ class _Translator:
                 ty=e.ty,
                 name=e.name,
                 bind=self.bind(e.bind, self.levels.lty(e.name)),
-                body=self.expr(e.body),
+                body=self.scoped(e.name, e.bind.ty, self.expr, e.body, e.bind),
             )
         if isinstance(e, S.ELetRec):
             bindings = []
@@ -255,7 +298,7 @@ class _Translator:
             return S.CLet(
                 name=e.name,
                 bind=self.bind(e.bind, self.levels.lty(e.name)),
-                body=self.cexpr(e.body),
+                body=self.scoped(e.name, e.bind.ty, self.cexpr, e.body, e.bind),
             )
         if isinstance(e, S.ELetRec):
             bindings = []
@@ -343,9 +386,13 @@ class _Translator:
             # already represented by a modifiable (every stable-mode bind
             # rule yields the mod representation), so the function simply
             # returns it -- this is what makes e.g. transpose free of reads.
+            outer = self.scope
+            self.scope = [] if outer is None else list(outer)
+            body = self.scoped(b.param, b.param_ty, self.expr, b.body)
+            self.scope = outer
             new_lam = S.BLam(
                 ty=b.ty, param=b.param, param_ty=b.param_ty,
-                body=self.expr(b.body), param_spec=None, name_hint=b.name_hint,
+                body=body, param_spec=None, name_hint=b.name_hint,
             )
             return self._wrap_value(new_lam, top_c)
 
@@ -405,7 +452,7 @@ class _Translator:
                 clauses = [
                     S.CaseClause(
                         tag=c.tag, binder=c.binder, binder_ty=c.binder_ty,
-                        body=self.cexpr(c.body),
+                        body=self.scoped(c.binder, c.binder_ty, self.cexpr, c.body),
                     )
                     for c in b.clauses
                 ]
@@ -427,7 +474,7 @@ class _Translator:
             clauses = [
                 S.CaseClause(
                     tag=c.tag, binder=c.binder, binder_ty=c.binder_ty,
-                    body=self.expr(c.body),
+                    body=self.scoped(c.binder, c.binder_ty, self.expr, c.body),
                 )
                 for c in b.clauses
             ]
@@ -507,12 +554,20 @@ class _Translator:
             and isinstance(b.fn, S.AVar)
             and b.fn.name in self.rec_names
         )
-        make = S.BMemoApp if memoizable else S.BApp
+
+        def make(fn: S.Atom) -> S.Bind:
+            if not memoizable:
+                return S.BApp(ty=b.ty, fn=fn, arg=b.arg)
+            keys = [S.AVar(ty=v.ty, name=v.name) for v in self.scope or ()]
+            return S.BMemoApp(
+                ty=b.ty, fn=fn, arg=b.arg, site=fresh("site"), keys=keys
+            )
+
         if f_lty.level == "C":
             # The function itself is changeable: read it, apply, write.
             f2 = fresh("f")
             r = fresh("r")
-            app_bind = make(ty=b.ty, fn=S.AVar(ty=b.fn.ty, name=f2), arg=b.arg)
+            app_bind = make(S.AVar(ty=b.fn.ty, name=f2))
             if cod_c:
                 v = fresh("v")
                 after: S.CExpr = S.CRead(
@@ -532,7 +587,7 @@ class _Translator:
                     body=S.CLet(name=r, bind=app_bind, body=after),
                 ),
             )
-        return make(ty=b.ty, fn=b.fn, arg=b.arg)
+        return make(b.fn)
 
     def _wrap_value(self, bind: S.Bind, top_c: bool) -> S.Bind:
         """Wrap an introduction form in ``mod (write .)`` when changeable."""

@@ -7,7 +7,10 @@ so the engine can re-execute them during change propagation.
 
 Memoized applications (``BMemoApp``) key on the function closure's identity
 plus the structural/identity memo key of the argument -- the same strategy
-as the AFL library benchmarks (paper Section 4.1).
+as the AFL library benchmarks (paper Section 4.1).  When the callee opens
+with its result ``mod``, the call also passes its allocation key
+``(site, *keys)``, and a miss that recycles a modifiable runs the callee
+with that modifiable as its opening mod's destination.
 
 Dispatch is by exact type (``type(x) is BApp``): the SXML node classes are
 leaves of a closed IR, so ``isinstance`` ladders -- the single hottest cost
@@ -33,6 +36,7 @@ from functools import partial
 from typing import Any
 
 from repro.core import sxml as S
+from repro.core.sxmlutil import opening_mod
 from repro.interp.builtins import BUILTIN_IMPLS, PRIM2, BuiltinFn, eval_prim
 from repro.interp.values import (
     _MISSING,
@@ -82,6 +86,8 @@ class SelfAdjustingInterpreter:
 
     def __init__(self, engine: Engine) -> None:
         self.engine = engine
+        #: id(lambda body) -> (body, its opening ``let x = mod``, or None)
+        self._opening: dict = {}
 
     def run(self, expr: S.Expr) -> Any:
         return self.eval(expr, Env())
@@ -112,6 +118,39 @@ class SelfAdjustingInterpreter:
                 scope = scope.parent
             raise LmlRuntimeError(f"unbound variable at runtime: {name}")
         return a.value
+
+    def opening(self, body: S.Expr) -> Any:
+        """``opening_mod(body)``, cached per lambda body."""
+        cached = self._opening.get(id(body))
+        if cached is None or cached[0] is not body:
+            cached = self._opening[id(body)] = (body, opening_mod(body))
+        return cached[1]
+
+    def alloc_key(self, call: Any) -> tuple:
+        """The allocation key ``(site, *keys)`` of a memoized call, given
+        ``(BMemoApp, env)``; the engine asks for it on a miss only."""
+        b, env = call
+        return (b.site, *[self.atom(k, env) for k in b.keys])
+
+    def apply_recycling(self, fn: Closure, arg: Any, dest: Modifiable) -> Any:
+        """Apply ``fn``, whose body opens with its result mod, making
+        ``dest`` that mod's destination (a keyed memo miss recycled it)."""
+        env = Env(fn.env)
+        env.vars[fn.param] = arg
+        e = fn.body
+        while True:
+            if type(e) is _ELetRec:
+                for name, lam in e.bindings:
+                    env.vars[name] = Closure(lam.param, lam.body, env, name=name)
+            elif type(e.bind) is _BMod:
+                break
+            else:
+                env.vars[e.name] = self.eval_bind(e.bind, env)
+            e = e.body
+        return self.engine.mod(
+            lambda d, body=e.bind.body, env=Env(env): self.ceval(body, env, d),
+            recycle=dest,
+        )
 
     # ------------------------------------------------------------------
     # Stable mode
@@ -250,7 +289,21 @@ class SelfAdjustingInterpreter:
                 ak = arg.memo_key()
             else:
                 ak = memo_key(arg)
-            return self.engine.memo((fk, ak), lambda: self.apply(fn, arg))
+            engine = self.engine
+            if tf is Closure and b.site and self.opening(fn.body) is not None:
+                hit, result, entry = engine.memo_probe(
+                    (fk, ak), self.alloc_key, (b, env)
+                )
+            else:
+                hit, result, entry = engine.memo_probe((fk, ak))
+            if hit:
+                return result
+            if entry.result is None:
+                result = self.apply(fn, arg)
+            else:
+                result = self.apply_recycling(fn, arg, entry.result)
+            engine.memo_commit(entry, result)
+            return result
         if t is _BCon:
             if b.args:
                 # One cons cell per list element re-created under

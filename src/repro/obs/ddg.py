@@ -6,7 +6,10 @@ same structure inspectable) has three kinds of nodes:
 * **modifiables** -- the data vertices;
 * **read edges** -- one per traced ``read``, spanning a timestamp interval
   ``[start, end]`` and depending on the modifiable it observed;
-* **memo entries** -- reusable sub-trace intervals.
+* **memo entries** -- reusable sub-trace intervals;
+* **keyed allocation sites** -- the stamps under which ``alloc_table``
+  allocated a modifiable: a keyed memo entry's start, or a ``keyed_mod``
+  site.
 
 Because every record is anchored at its start stamp, one walk of the
 order-maintenance list recovers the whole graph *and* the containment
@@ -30,11 +33,14 @@ def _short(value: Any, limit: int = 40) -> str:
 def ddg_snapshot(engine: Any, values: bool = True) -> Dict[str, Any]:
     """Capture the live trace of ``engine`` as a plain JSON-safe dict.
 
-    The snapshot lists modifiables (``m#``), read edges (``r#``), and memo
-    entries (``e#``); each read/memo carries its stamp interval and its
-    ``parent`` in the containment forest (``None`` for top-level records).
-    Only records reachable from live stamps appear -- exactly the current
-    trace, not history.
+    The snapshot lists modifiables (``m#``), read edges (``r#``), memo
+    entries (``e#``) and keyed allocation sites (``a#``); each read/memo
+    carries its stamp interval and its ``parent`` in the containment
+    forest (``None`` for top-level records).  A site names its key, its
+    stamp, the modifiable it allocated (``None`` while a memo entry's body
+    is still open) and, for a keyed memo entry, that entry.  Only records
+    reachable from live stamps appear -- exactly the current trace, not
+    history.
     """
     mods: Dict[int, Dict[str, Any]] = {}
     mod_order: List[Any] = []
@@ -51,6 +57,7 @@ def ddg_snapshot(engine: Any, values: bool = True) -> Dict[str, Any]:
 
     reads: List[Dict[str, Any]] = []
     memos: List[Dict[str, Any]] = []
+    sites: List[Dict[str, Any]] = []
     stack: List[Dict[str, Any]] = []  # open interval records
     end_map: Dict[int, Dict[str, Any]] = {}  # id(end stamp) -> record
 
@@ -74,14 +81,28 @@ def ddg_snapshot(engine: Any, values: bool = True) -> Dict[str, Any]:
                 mods[id(owner.mod)]["n_readers"] += 1
                 reads.append(rec)
             else:
-                rec = {
-                    "id": f"e{len(memos)}",
-                    "key": _short(owner.key),
-                    "start": owner.start.label,
-                    "end": owner.end.label if owner.end is not None else None,
-                    "parent": parent,
-                }
-                memos.append(rec)
+                memo_rec = None
+                if type(owner).__name__ == "MemoEntry":
+                    rec = memo_rec = {
+                        "id": f"e{len(memos)}",
+                        "key": _short(owner.key),
+                        "start": owner.start.label,
+                        "end": owner.end.label if owner.end is not None else None,
+                        "parent": parent,
+                    }
+                    memos.append(rec)
+                if owner.akey is not None:
+                    dest = owner.result if owner.end is not None else None
+                    rec = {
+                        "id": f"a{len(sites)}",
+                        "key": _short(owner.akey),
+                        "stamp": owner.start.label,
+                        "mod": mod_id(dest) if dest is not None else None,
+                        "memo": memo_rec["id"] if memo_rec else None,
+                        "parent": parent,
+                    }
+                    sites.append(rec)
+                rec = memo_rec or rec
             if owner.end is not None and owner.end is not node:
                 end_map[id(owner.end)] = rec
                 stack.append(rec)
@@ -94,6 +115,7 @@ def ddg_snapshot(engine: Any, values: bool = True) -> Dict[str, Any]:
         "mods": [mods[id(m)] for m in mod_order],
         "reads": reads,
         "memos": memos,
+        "sites": sites,
     }
 
 
@@ -106,8 +128,10 @@ def ddg_dot(engine: Any, values: bool = True, title: str = "ddg") -> str:
     """Render the live trace as a Graphviz DOT digraph.
 
     Modifiables are ellipses, read edges boxes (dirty ones red), memo
-    entries diamonds.  Solid arrows point from a read to the modifiable it
-    observed; dashed arrows draw the containment forest in trace order.
+    entries diamonds, keyed allocation sites points.  Solid arrows point
+    from a read to the modifiable it observed; dotted arrows from a site
+    to the modifiable it allocated; dashed arrows draw the containment
+    forest in trace order.
     """
     snap = ddg_snapshot(engine, values=values)
     lines = [
@@ -134,5 +158,12 @@ def ddg_dot(engine: Any, values: bool = True, title: str = "ddg") -> str:
         lines.append(f'  {memo["id"]} [shape=diamond, label="{label}"];')
         if memo["parent"]:
             lines.append(f'  {memo["parent"]} -> {memo["id"]} [style=dashed];')
+    for site in snap["sites"]:
+        lines.append(f'  {site["id"]} [shape=point];')
+        if site["mod"]:
+            lines.append(f'  {site["id"]} -> {site["mod"]} [style=dotted];')
+        parent = site["memo"] or site["parent"]
+        if parent:
+            lines.append(f'  {parent} -> {site["id"]} [style=dashed];')
     lines.append("}")
     return "\n".join(lines)

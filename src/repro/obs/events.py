@@ -26,7 +26,7 @@ class TraceEvent(NamedTuple):
         memo-hit    memo-miss   splice    discard
         reexec      propagate-begin       propagate-end
         dirty-mark  demand-begin          demand-end
-        batch-begin batch-end   trace-compact
+        batch-begin batch-end
         reexec-abort poison     rollback
     """
 
@@ -54,7 +54,8 @@ class TraceHook:
 
     # -- trace construction ------------------------------------------------
     def on_mod_create(self, mod: Any, is_input: bool, recycled: bool) -> None:
-        """A modifiable was allocated (``recycled``: keyed_mod reuse)."""
+        """A modifiable was allocated (``recycled``: keyed allocation reused
+        the modifiable of a site in the reuse zone)."""
 
     def on_read_start(self, edge: Any) -> None:
         """A read edge was created; its reader is about to run."""
@@ -131,16 +132,13 @@ class TraceHook:
         back to the last-good state (``recovery_reexecuted`` reads), and
         re-staged ``restaged`` of them as pending edits."""
 
-    # -- batching and compaction ---------------------------------------------
+    # -- batching ---------------------------------------------------------------
     def on_batch_begin(self) -> None:
         """An outermost ``Engine.batch()`` scope opened."""
 
     def on_batch_end(self, changed: int, reexecuted: int) -> None:
         """The outermost batch scope closed: ``changed`` effective edits
         were coalesced into one pass that re-executed ``reexecuted`` reads."""
-
-    def on_trace_compact(self, alloc_removed: int) -> None:
-        """``Engine.compact`` swept dead sites out of the allocation table."""
 
 
 class FanoutHook(TraceHook):
@@ -237,10 +235,6 @@ class FanoutHook(TraceHook):
     def on_batch_end(self, changed, reexecuted):
         for h in self.hooks:
             h.on_batch_end(changed, reexecuted)
-
-    def on_trace_compact(self, alloc_removed):
-        for h in self.hooks:
-            h.on_trace_compact(alloc_removed)
 
 
 def _short(value: Any, limit: int = 48) -> str:
@@ -396,9 +390,6 @@ class EventLog(TraceHook):
 
     def on_batch_end(self, changed, reexecuted):
         self._emit("batch-end", changed=changed, reexecuted=reexecuted)
-
-    def on_trace_compact(self, alloc_removed):
-        self._emit("trace-compact", alloc=alloc_removed)
 
     # -- inspection -----------------------------------------------------------
 

@@ -6,8 +6,9 @@ maintains a well-formed trace.  The properties the proof leans on are
 checkable in one walk of the timestamp order:
 
 1. **Timestamp monotonicity** -- labels strictly increase along the list
-   and every interval satisfies ``start < end``, except a leaf read's
-   empty interval, which closes on its own start (``end is start``).
+   and every interval satisfies ``start < end``, except the empty
+   interval of a leaf read or a ``keyed_mod`` allocation site, which
+   closes on its own start (``end is start``).
 2. **Interval nesting** -- read-edge and memo-entry intervals form a
    properly nested forest (no partial overlap); equivalently the trace is
    a well-parenthesized string of starts and ends.
@@ -23,8 +24,10 @@ checkable in one walk of the timestamp order:
    in the upward reader-closure of a dirty live edge's recorded
    destination is suspect, so a demand can never fast-path a modifiable
    that still has stale feeders anywhere below it.
-6. **Memo-table residency** -- ``memo_table`` indexes exactly the
-   committed memo entries of the trace: no dead entry, no empty bucket.
+6. **Table residency** -- ``memo_table`` indexes exactly the committed
+   memo entries of the trace (no dead entry, no empty bucket), and
+   ``alloc_table`` exactly the live keyed allocation sites, each under
+   its own key.
 
 :func:`check_trace` performs these structural checks on a quiescent
 engine.  :class:`InvariantChecker` is a :class:`~repro.obs.events.TraceHook`
@@ -48,18 +51,22 @@ class InvariantViolation(AssertionError):
 class TraceCheckReport:
     """Summary of one structural trace check."""
 
-    def __init__(self, stamps: int, reads: int, memos: int, depth: int, queued: int) -> None:
+    def __init__(
+        self, stamps: int, reads: int, memos: int, depth: int, queued: int,
+        sites: int = 0,
+    ) -> None:
         self.stamps = stamps
         self.reads = reads
         self.memos = memos
         self.depth = depth
         self.queued = queued
+        self.sites = sites
 
     def __str__(self) -> str:
         return (
             f"trace OK: {self.stamps} stamps, {self.reads} reads, "
-            f"{self.memos} memo entries, nesting depth {self.depth}, "
-            f"{self.queued} queued"
+            f"{self.memos} memo entries, {self.sites} keyed sites, "
+            f"nesting depth {self.depth}, {self.queued} queued"
         )
 
 
@@ -78,7 +85,8 @@ def check_trace(
     except AssertionError as exc:
         raise InvariantViolation(f"timestamp order corrupt: {exc}") from exc
 
-    reads = memos = committed_memos = 0
+    reads = memos = committed_memos = sites = 0
+    alloc_table = engine.alloc_table
     depth = max_depth = 0
     stack: list = []  # open records, innermost last
     end_map: Dict[int, Any] = {}  # id(end stamp) -> record
@@ -101,6 +109,7 @@ def check_trace(
             depth -= 1
         owner = node.owner
         if owner is not None:
+            kind = type(owner).__name__
             if owner.dead:
                 raise InvariantViolation(
                     f"live stamp {node.label} anchors dead record {owner!r}"
@@ -115,8 +124,8 @@ def check_trace(
                     raise InvariantViolation(
                         f"unfinished interval for {owner!r} in a quiescent trace"
                     )
-            elif end is node and type(owner).__name__ == "ReadEdge":
-                pass  # a leaf read: empty interval closed on its start
+            elif end is node and kind != "MemoEntry":
+                pass  # a leaf read or keyed_mod site: empty interval
             else:
                 if not end.live:
                     raise InvariantViolation(f"{owner!r} has a dead end stamp")
@@ -129,7 +138,7 @@ def check_trace(
                 stack.append(owner)
                 depth += 1
                 max_depth = max(max_depth, depth)
-            if type(owner).__name__ == "ReadEdge":
+            if kind == "ReadEdge":
                 reads += 1
                 if owner not in owner.mod.readers:
                     raise InvariantViolation(
@@ -138,9 +147,17 @@ def check_trace(
                 if owner.dirty:
                     dirty_live.append(owner)
             else:
-                memos += 1
-                if owner.end is not None:
-                    committed_memos += 1
+                if kind == "MemoEntry":
+                    memos += 1
+                    if owner.end is not None:
+                        committed_memos += 1
+                if owner.akey is not None:
+                    sites += 1
+                    if alloc_table.get(owner.akey) is not owner:
+                        raise InvariantViolation(
+                            f"keyed allocation site {owner!r} is not indexed "
+                            f"under its key"
+                        )
         node = node.next
 
     if stack:
@@ -218,8 +235,22 @@ def check_trace(
             f"memo table indexes {indexed} entries; the trace has "
             f"{committed_memos} committed ones"
         )
+    # ... and the allocation table exactly the live keyed sites: a site
+    # leaves it in the same deletion that kills its stamp.
+    for akey, site in alloc_table.items():
+        start = site.start
+        if site.dead or start is None or start.owner is not site or site.akey != akey:
+            raise InvariantViolation(
+                f"alloc table maps {akey!r} to {site!r}, not a live site "
+                f"allocated under that key"
+            )
+    if len(alloc_table) != sites:
+        raise InvariantViolation(
+            f"alloc table holds {len(alloc_table)} sites; the trace has "
+            f"{sites} live ones"
+        )
 
-    return TraceCheckReport(stamps, reads, memos, max_depth, len(queue))
+    return TraceCheckReport(stamps, reads, memos, max_depth, len(queue), sites)
 
 
 class InvariantChecker(TraceHook):

@@ -47,7 +47,7 @@ from repro.sac.gcpause import gc_paused
 from repro.sac.meter import Meter
 from repro.sac.modifiable import UNWRITTEN, Modifiable
 from repro.sac.order import Order, Stamp
-from repro.sac.trace import MemoEntry, ReadEdge
+from repro.sac.trace import AllocSite, MemoEntry, ReadEdge
 
 #: bit 0 of every reverse-reachability summary bitset: "feeds a
 #: ``dest=None`` edge", i.e. conservatively feeds everything.  Demand
@@ -244,6 +244,10 @@ class Engine:
         self.recursion_limit = limit
         if sys.getrecursionlimit() < limit:
             sys.setrecursionlimit(limit)
+        #: allocation key -> its live keyed allocation site (an
+        #: :class:`AllocSite` or a keyed :class:`MemoEntry`).  A site
+        #: leaves the table when its stamp is deleted, so the table holds
+        #: exactly the live sites.
         self.alloc_table: dict = {}
         self.order = Order()
         self.now: Stamp = self.order.base
@@ -312,12 +316,6 @@ class Engine:
         #: propagation.
         self._edit_log: List[Tuple[Modifiable, Any]] = []
         self._journal_enabled = True
-        #: floor before automatic compaction is considered at all (small
-        #: computations never pay a sweep).
-        self.compact_threshold = 64
-        #: ``alloc_table`` size past which the next automatic
-        #: :meth:`compact` runs: twice the size the last sweep left.
-        self._alloc_sweep_at = self.compact_threshold
         #: Optional observability hook (see :mod:`repro.obs.events`).  When
         #: None -- the default -- every emission site costs one attribute
         #: check, keeping the hot path fast.
@@ -476,8 +474,13 @@ class Engine:
             self.hook.on_mod_create(mod, True, False)
         return mod
 
-    def mod(self, comp: Callable[[Modifiable], None]) -> Modifiable:
-        """Run changeable computation ``comp`` into a fresh modifiable.
+    def mod(
+        self,
+        comp: Callable[[Modifiable], None],
+        recycle: Optional[Modifiable] = None,
+    ) -> Modifiable:
+        """Run changeable computation ``comp`` into a fresh modifiable
+        (``recycle``, if given: see :meth:`mod_begin`).
 
         ``comp`` receives the destination and must finish with a
         :meth:`write` to it (possibly inside nested reads).
@@ -489,7 +492,7 @@ class Engine:
         the engine exactly as it was.  Failures inside propagation are
         handled by :meth:`propagate`'s transactional re-execution instead.
         """
-        dest, checkpoint = self.mod_begin()
+        dest, checkpoint = self.mod_begin(None, recycle)
         try:
             comp(dest)
         except BaseException:
@@ -505,19 +508,22 @@ class Engine:
         When a computation is re-executed, a plain ``mod`` allocates a fresh
         modifiable, so consumers holding the old one see an identity change
         even if the contents are equal.  ``keyed_mod`` recycles the
-        modifiable previously allocated under ``key`` -- provided its old
-        allocation site is dead or lies in the current reuse zone (i.e. is
-        about to be discarded) -- so an equal re-write is a no-op and
-        propagation cuts off.  This is what makes merge-based algorithms'
-        output spines identity-stable (see ``repro.bench.handwritten``'s
-        keyed msort).
+        modifiable previously allocated under ``key`` when that allocation
+        site lies in the current reuse zone (i.e. is about to be
+        discarded), so an equal re-write is a no-op and propagation cuts
+        off.  The recycle continues at the old site exactly like a memo
+        hit: the trace between the cursor and the site is discarded and
+        the site's stamp is kept, so no stale copy of the site remains to
+        be spliced back in later.  This is what makes merge-based
+        algorithms' output spines identity-stable (see
+        ``repro.bench.handwritten``'s keyed msort).
 
         Unlike ``memo``, the computation always re-runs; only the
         *identity* is reused.  The caller must ensure keys are unique among
         simultaneously live allocations (e.g. include the element value and
         an instance identifier); when a live allocation outside the reuse
-        zone already holds the key, a fresh modifiable is allocated instead,
-        which is always sound.
+        zone already holds the key, a fresh unkeyed modifiable is
+        allocated instead, which is always sound.
 
         Like :meth:`mod`, an outermost ``keyed_mod`` is transactional: a
         raising ``comp`` truncates the partial trace (including this
@@ -1210,7 +1216,9 @@ class Engine:
                 del reads[rkey]
 
     def mod_begin(
-        self, key: Optional[Hashable] = None
+        self,
+        key: Optional[Hashable] = None,
+        recycle: Optional[Modifiable] = None,
     ) -> Tuple[Modifiable, Optional[Stamp]]:
         """First half of :meth:`mod` and :meth:`keyed_mod`: allocate the
         destination.
@@ -1220,8 +1228,11 @@ class Engine:
         propagation), in which case the caller must pass it back to
         :meth:`mod_end`/:meth:`mod_abort` so a failed body truncates the
         partial trace.  With a ``key``, the destination is allocated as
-        :meth:`keyed_mod` describes, and a fresh allocation stamp (after
-        the checkpoint) records it under ``key``.
+        :meth:`keyed_mod` describes: a fresh one gets an allocation stamp
+        (after the checkpoint) anchoring an :class:`AllocSite` under
+        ``key``.  ``recycle`` is the modifiable a keyed memo miss handed
+        over (see :meth:`memo_probe`); the callee's opening mod reuses it
+        instead of allocating.
         """
         if self._poison is not None:
             self._check_usable()
@@ -1231,33 +1242,26 @@ class Engine:
             else None
         )
         if key is None:
-            dest = Modifiable()
-            self.meter.mods_created += 1
+            if recycle is None:
+                dest = Modifiable()
+                self.meter.mods_created += 1
+            else:
+                dest = recycle
             if self.hook is not None:
-                self.hook.on_mod_create(dest, False, False)
+                self.hook.on_mod_create(dest, False, recycle is not None)
         else:
-            dest = None
-            entry = self.alloc_table.get(key)
-            if entry is not None:
-                old_mod, old_stamp, old_gen = entry
-                # A generation mismatch means the recorded stamp died and
-                # was recycled by the order's free-list for an unrelated
-                # position: treat it exactly like a dead allocation site.
-                if old_stamp.gen != old_gen or not old_stamp.live:
-                    dest = old_mod
-                elif (
-                    self.reuse_limit is not None
-                    and self.now.key < old_stamp.key <= self.reuse_limit.key
-                ):
-                    dest = old_mod  # doomed: lies in the current reuse zone
-            recycled = dest is not None
-            if dest is None:
+            site = self.alloc_table.get(key)
+            recycled = self._continue_at(site, AllocSite)
+            if recycled:
+                dest = site.result
+            else:
                 dest = Modifiable()
                 self.meter.mods_created += 1
             if self.hook is not None:
                 self.hook.on_mod_create(dest, False, recycled)
-            stamp = self._advance()
-            self.alloc_table[key] = (dest, stamp, stamp.gen)
+            if site is None:
+                stamp = self._advance()
+                stamp.owner = self.alloc_table[key] = AllocSite(key, dest, stamp)
         self._mod_depth += 1
         self._dest_stack.append(dest)
         return dest, checkpoint
@@ -1287,7 +1291,10 @@ class Engine:
         self._dest_stack.pop()
 
     def memo_probe(
-        self, key: Hashable
+        self,
+        key: Hashable,
+        alloc_key: Optional[Callable[[Any], Hashable]] = None,
+        frame: Any = None,
     ) -> Tuple[bool, Any, Optional[MemoEntry]]:
         """First half of :meth:`memo`: look up ``key``, splice on a hit.
 
@@ -1297,6 +1304,20 @@ class Engine:
         :meth:`memo_commit`.  If the body raises, no cleanup call is
         needed: the entry's open interval is reclaimed by the enclosing
         transaction's truncation.
+
+        ``alloc_key`` asks for *keyed allocation* of the callee's result:
+        the caller promises that the body's first mod is the modifiable it
+        returns (``repro.core.sxmlutil.opening_mod``).  On a miss --
+        and only then, so a hit costs no key -- ``alloc_key(frame)``
+        computes the allocation key, and the entry's start stamp becomes
+        that allocation's site, recorded in ``alloc_table`` under the
+        key.  When the table names a site
+        inside the reuse zone, the miss continues at it instead, like a
+        memo hit: the trace between the cursor and the site is
+        discarded, and the site's entry is re-keyed and returned open
+        with ``entry.result`` holding the old modifiable, which the caller
+        passes to the body's opening ``mod_begin(recycle=...)``.  A key
+        whose site is live elsewhere allocates unkeyed.
         """
         self._check_usable()
         entries = self.memo_table.get(key)
@@ -1320,6 +1341,26 @@ class Engine:
         self.meter.memo_misses += 1
         if self.hook is not None:
             self.hook.on_memo_miss(key)
+        # Eager engines only: on lazy ones keyed allocation changes which
+        # trace a demand re-executes, and that hides -- without fixing --
+        # the stale-demand defect of the summary relevance filter, which
+        # ``perfbench/test_canary.py`` pins as an expected failure.
+        # Replacing that filter lifts this condition.
+        akey = None if alloc_key is None or self.lazy else alloc_key(frame)
+        if akey is not None:
+            site = self.alloc_table.get(akey)
+            if site is not None:
+                if self._continue_at(site, MemoEntry):
+                    # Reopen the site's entry under this call's key.
+                    bucket = self.memo_table[site.key]
+                    if len(bucket) == 1:
+                        del self.memo_table[site.key]
+                    else:
+                        bucket.remove(site)
+                    site.key = key
+                    site.end = None
+                    return False, None, site
+                akey = None  # the key's site is live elsewhere
         start = self.now = self._insert_after(self.now)
         pool = self._memo_pool
         if pool:
@@ -1333,8 +1374,29 @@ class Engine:
         else:
             entry = MemoEntry(key, start)
         start.owner = entry
+        if akey is not None:
+            entry.akey = akey
+            self.alloc_table[akey] = entry
         self.meter.live_memo_entries += 1
         return False, None, entry
+
+    def _continue_at(self, site: Any, kind: type) -> bool:
+        """Recycle ``site``, an ``alloc_table`` entry, if it is a ``kind``
+        record inside the reuse zone: continue at it as a memo hit would,
+        discarding the trace between the cursor and the site and moving
+        the cursor onto the site's stamp, which then serves the new
+        allocation.  Keeping no second copy of the site is what stops a
+        later splice from bringing the old one back."""
+        limit = self.reuse_limit
+        if (
+            type(site) is not kind
+            or limit is None
+            or not self.now.key < site.start.key <= limit.key
+        ):
+            return False
+        self._delete_range(self.now, site.start)
+        self.now = site.start
+        return True
 
     def memo_commit(self, entry: MemoEntry, result: Any) -> None:
         """Second half of :meth:`memo`: record the thunk's result."""
@@ -1486,8 +1548,6 @@ class Engine:
             self._suspect_mods.clear()
         if hook is not None:
             hook.on_propagate_end(reexecuted)
-        if len(self.alloc_table) > self._alloc_sweep_at:
-            self.compact()
         return reexecuted
 
     @gc_paused
@@ -1676,8 +1736,6 @@ class Engine:
         if hook is not None:
             for t in targets:
                 hook.on_demand_end(t, reexecuted)
-        if len(self.alloc_table) > self._alloc_sweep_at:
-            self.compact()
         if single:
             return targets[0].value
         return [t.value for t in targets]
@@ -2181,50 +2239,14 @@ class Engine:
         self._edit_log = []
 
     # ------------------------------------------------------------------
-    # Allocation-table compaction
-
-    def compact(self) -> dict:
-        """Sweep dead sites out of the keyed-allocation table.
-
-        Trace records leave their tables when they die: :meth:`_delete_range`
-        retracts every record of a spliced-out interval, and a memo entry
-        leaves its ``memo_table`` bucket in that same step.  Only
-        ``alloc_table`` (filled by ``mod_begin(key)``) keeps entries whose
-        allocation site died; dropping one is always sound, and the only
-        cost is that a *later* re-allocation under the same key gets a
-        fresh modifiable instead of recycling the old identity.
-
-        Runs automatically after a propagation or demand once the table
-        outgrows twice what the last sweep left (floored at
-        ``compact_threshold``), so sweep work is amortized over the
-        insertions that grew it; idempotent and cheap to call explicitly.
-        Returns ``{"alloc": ...}``, the count of removed entries.
-        """
-        self._check_usable()
-        stale = [
-            k
-            for k, (_, stamp, gen) in self.alloc_table.items()
-            if not stamp.live or stamp.gen != gen
-        ]
-        for key in stale:
-            del self.alloc_table[key]
-        self._alloc_sweep_at = max(
-            self.compact_threshold, 2 * len(self.alloc_table)
-        )
-        meter = self.meter
-        meter.compactions += 1
-        meter.alloc_entries_compacted += len(stale)
-        if self.hook is not None:
-            self.hook.on_trace_compact(len(stale))
-        return {"alloc": len(stale)}
+    # Table inspection
 
     def table_residency(self) -> dict:
         """Entry counts of the auxiliary tables.
 
         ``memo_entries`` always equals ``meter.live_memo_entries`` at rest
-        (the table indexes exactly the live committed entries);
-        ``alloc_entries`` includes dead allocation sites until the next
-        :meth:`compact`.
+        (the table indexes exactly the live committed entries), and
+        ``alloc_entries`` counts exactly the live keyed allocation sites.
         """
         return {
             "memo_entries": sum(len(v) for v in self.memo_table.values()),
@@ -2277,8 +2299,9 @@ class Engine:
 
         One walk: :meth:`~repro.sac.order.Order.delete_range` unlinks the
         chain and hands back the records anchored on it.  A dead memo
-        entry leaves its table bucket here, so ``memo_table`` only ever
-        indexes live committed entries.
+        entry leaves its table bucket here, and a dead allocation site its
+        ``alloc_table`` entry, so both tables only ever index live
+        records.
         """
         owners = self.order.delete_range(a, b)
         if not owners:
@@ -2299,6 +2322,7 @@ class Engine:
         memo_pool = self._memo_pool
         memo_cap = self.MEMO_POOL_CAP
         memo_table = self.memo_table
+        alloc_table = self.alloc_table
         feeds_summary = self._feeds_summary
         for owner in owners:
             if type(owner) is ReadEdge:
@@ -2314,7 +2338,7 @@ class Engine:
                     owner.start = None
                     owner.end = None
                     edge_pool.append(owner)
-            else:
+            elif type(owner) is MemoEntry:
                 owner.dead = True
                 owner.result = None
                 meter.live_memo_entries -= 1
@@ -2324,11 +2348,16 @@ class Engine:
                         del memo_table[owner.key]
                     else:
                         bucket.remove(owner)
+                if owner.akey is not None:
+                    del alloc_table[owner.akey]
+                    owner.akey = None
                 if len(memo_pool) < memo_cap:
                     owner.key = None
                     owner.start = None
                     owner.end = None
                     memo_pool.append(owner)
+            else:
+                owner.discard(self)
 
     # ------------------------------------------------------------------
     # Convenience combinators (AFL-style library surface)

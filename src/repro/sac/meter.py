@@ -80,10 +80,6 @@ class Meter:
     #: filtering work the maintained summaries avoid -- it is what the
     #: repeated-demand benchmark gates on, immune to machine noise.
     feeds_dfs_visits: int = 0
-    #: ``alloc_table`` sweeps (:meth:`Engine.compact`) and the dead
-    #: allocation sites they dropped.
-    compactions: int = 0
-    alloc_entries_compacted: int = 0
     live_edges: int = 0
     live_memo_entries: int = 0
 

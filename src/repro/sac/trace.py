@@ -5,8 +5,15 @@ start timestamps, together with the memo entries recorded during the run.
 Both kinds of record are *anchored* at their start stamp (``stamp.owner``),
 so that deleting a time range retracts exactly the records created in it.
 
-Both records are ``__slots__``-packed and recycled through engine free-lists
-once fully retracted (see :class:`repro.sac.engine.Engine`): a discarded
+A third record, :class:`AllocSite`, anchors a ``keyed_mod`` allocation.
+Every keyed allocation site -- an ``AllocSite`` or a memo entry whose
+miss allocated its callee's result under a key (``akey``) -- is indexed
+in the engine's ``alloc_table`` while it lives and leaves it when its
+stamp is deleted.
+
+Read edges and memo entries are ``__slots__``-packed and recycled through
+engine free-lists once fully retracted (see
+:class:`repro.sac.engine.Engine`): a discarded
 edge that is not sitting in the dirty queue goes straight back to the pool,
 a queued one when it is finally popped, and a memo entry as soon as it
 dies (it leaves its table bucket in the same step).  Recycling is skipped
@@ -106,9 +113,14 @@ class MemoEntry:
     zone can be *spliced*: the engine skips over the entry's interval instead
     of recomputing, keeping the entire sub-trace (and its pending dirty
     reads, which are then propagated in timestamp order).
+
+    ``akey`` is the allocation key when the entry's start stamp is also a
+    keyed allocation site (see ``Engine.memo_probe``): ``alloc_table``
+    maps it to this entry, and ``result`` is then the allocated
+    modifiable.
     """
 
-    __slots__ = ("key", "result", "start", "end", "dead")
+    __slots__ = ("key", "result", "start", "end", "dead", "akey")
 
     def __init__(self, key: Any, start: Stamp) -> None:
         self.key = key
@@ -116,6 +128,7 @@ class MemoEntry:
         self.start: Optional[Stamp] = start
         self.end: Optional[Stamp] = None
         self.dead = False
+        self.akey: Any = None
 
     def discard(self, engine: Any) -> None:
         """Retract this entry: called when its start stamp is deleted.
@@ -134,7 +147,38 @@ class MemoEntry:
                 del engine.memo_table[self.key]
             else:
                 bucket.remove(self)
+        if self.akey is not None:
+            del engine.alloc_table[self.akey]
+            self.akey = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         at = self.start.key if self.start is not None else "?"
         return f"<MemoEntry {self.key!r} @{at}>"
+
+
+class AllocSite:
+    """The allocation site of one ``keyed_mod``: its stamp and modifiable.
+
+    An empty interval (``end is start``, like a leaf read) anchored at the
+    allocation stamp.  ``alloc_table`` maps ``akey`` to the site while it
+    lives; deleting the stamp retracts it.
+    """
+
+    __slots__ = ("akey", "result", "start", "end", "dead")
+
+    def __init__(self, akey: Any, result: Any, start: Stamp) -> None:
+        self.akey = akey
+        self.result = result
+        self.start: Optional[Stamp] = start
+        self.end: Optional[Stamp] = start
+        self.dead = False
+
+    def discard(self, engine: Any) -> None:
+        """Retract this site: called when its stamp is deleted."""
+        self.dead = True
+        del engine.alloc_table[self.akey]
+        self.result = None
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        at = self.start.key if self.start is not None else "?"
+        return f"<AllocSite {self.akey!r} @{at}>"

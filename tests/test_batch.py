@@ -12,7 +12,7 @@ semantic one.
 Also here: the memory-growth smoke test -- hundreds of batched edit /
 propagate rounds keep ``trace_size`` within a constant factor of a fresh
 run on the final data, and table residency (memo/alloc buckets) stays
-bounded thanks to compaction.
+bounded because a dead record leaves its table as it dies.
 """
 
 import random

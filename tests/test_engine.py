@@ -312,8 +312,9 @@ def test_outermost_mod_failure_is_transactional(keyed, failure):
     """An outermost ``mod`` or ``keyed_mod`` whose body raises, or
     finishes without writing, truncates everything the body recorded --
     its own keyed allocation stamp included -- and leaves the engine as it
-    was before the call.  The dead keyed sites then recycle their
-    modifiables."""
+    was before the call.  The keyed sites it allocated leave
+    ``alloc_table`` in the same truncation, so the table holds exactly
+    the live sites and a later allocation under those keys is fresh."""
     engine = Engine()
     x = engine.make_input(3)
     engine.mod(lambda d: engine.read(x, lambda v: engine.write(d, v + 1)))
@@ -344,13 +345,12 @@ def test_outermost_mod_failure_is_transactional(keyed, failure):
     engine.order.check()
     check_trace(engine)
 
-    sites = [("inner", 3)] + (["site"] if keyed else [])
-    for key in sites:
-        old, stamp, gen = engine.alloc_table[key]
-        assert stamp.gen != gen or not stamp.live
-        assert engine.keyed_mod(key, lambda d: engine.write(d, 7)) is old
-    if keyed:
-        assert engine.alloc_table["site"][0] is outer[0]
+    assert engine.alloc_table == {}
+    assert check_trace(engine).sites == 0
+    again = engine.keyed_mod("site", lambda d: engine.write(d, 7))
+    assert again is not outer[0]
+    assert engine.alloc_table["site"].result is again
+    assert check_trace(engine).sites == 1
 
 
 def test_keyed_mod_requires_write():

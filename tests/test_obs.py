@@ -288,6 +288,21 @@ def test_ddg_snapshot_structure():
     assert sum(m["n_readers"] for m in snap["mods"]) == len(snap["reads"])
 
 
+def test_ddg_snapshot_lists_keyed_sites():
+    """Every live keyed allocation site appears, naming the modifiable it
+    allocated and, for a compiled call, its memo entry."""
+    engine, _ = _run_map(TraceHook(), n=6, changes=2)
+    snap = ddg_snapshot(engine)
+    assert len(snap["sites"]) == len(engine.alloc_table) > 0
+    mods = {m["id"] for m in snap["mods"]}
+    memos = {e["id"] for e in snap["memos"]}
+    for site in snap["sites"]:
+        assert site["mod"] in mods and site["memo"] in memos
+    dot = ddg_dot(engine)
+    assert dot.count("[shape=point]") == len(snap["sites"])
+    assert dot.count("[style=dotted]") == len(snap["sites"])
+
+
 def test_ddg_json_round_trips():
     engine, _ = _run_map(TraceHook(), n=4, changes=0)
     snap = json.loads(ddg_json(engine))

@@ -84,7 +84,7 @@ def test_matmult_no_memoize_counts():
 #: (mods_created, reads_executed, writes, changed_writes, memo_hits,
 #:  memo_misses, edges_reexecuted, queue_drained).
 METER_PINS = {
-    ("msort", 32, 31, 4): (1421, 2007, 1473, 1440, 52, 892, 87, 93),
+    ("msort", 32, 31, 4): (1132, 1605, 1201, 1151, 53, 752, 87, 93),
     ("filter", 32, 31, 4): (96, 73, 66, 64, 8, 68, 5, 5),
 }
 

@@ -254,7 +254,7 @@ def test_poisoned_engine_refuses_all_work():
         lambda: engine.change(m, 9),
         lambda: engine.propagate(),
         lambda: engine.rollback(),
-        lambda: engine.compact(),
+        lambda: engine.keyed_mod("k", lambda dest: engine.write(dest, 1)),
         lambda: engine.batch().__enter__(),
         lambda: engine.mod(lambda dest: engine.write(dest, 1)),
     ):

@@ -17,7 +17,7 @@ from repro.api import (
 from repro.apps import REGISTRY
 from repro.core.pipeline import compile_program
 from repro.interp.values import list_value_to_python
-from repro.obs import EventLog
+from repro.obs import EventLog, check_trace
 from repro.sac.engine import Engine
 
 SQUARES = """
@@ -239,19 +239,25 @@ def test_change_many():
     assert list_value_to_python(out) == [25, 4, 49]
 
 
-def test_trace_compact_event_and_stats():
+def test_alloc_table_holds_live_sites_under_a_hook():
+    """With a hook attached, dead records retract through ``discard``; a
+    keyed allocation site leaves ``alloc_table`` there too, so the table
+    holds exactly the live sites after every propagation."""
     log = EventLog()
     session = Session("map", hook=log)
     session.run(data=list(range(16)))
+    engine = session.engine
     for step in range(8):
         session.input_handle.insert(0, 100 + step)
         session.propagate()
         session.input_handle.remove(0)
         session.propagate()
-    removed = session.compact()
-    assert removed["alloc"] >= 0
-    assert log.of_kind("trace-compact")
-    assert session.engine.meter.compactions >= 1
+        report = check_trace(engine, expect_empty_queue=True)
+        assert report.sites == len(engine.alloc_table) > 0
+    assert log.of_kind("discard")
+    assert list_value_to_python(session.output) == REGISTRY["map"].reference(
+        list(range(16))
+    )
 
 
 # ----------------------------------------------------------------------

@@ -1,15 +1,13 @@
-"""Memo-table residency: a memo entry leaves ``memo_table`` when it dies.
+"""Table residency: a trace record leaves its table when it dies.
 
 After every operation that splices trace out -- propagation, lazy demand,
 an aborted re-execution, rollback, and a failed run's truncation -- the
-table must index exactly the live committed entries: no dead entry, no
-empty bucket, and as many entries as ``meter.live_memo_entries``.  Both
-retraction paths are covered: the hookless one (which also recycles the
-entry) and the hooked one (``MemoEntry.discard``, no recycling).
-
-The keyed-allocation table (``keyed_mod``) is the one table that still
-holds dead sites until ``Engine.compact`` sweeps it; the last test pins
-that the sweep runs on its own and keeps the table bounded.
+memo table must index exactly the live committed entries (no dead entry,
+no empty bucket, and as many entries as ``meter.live_memo_entries``), and
+``alloc_table`` exactly the live keyed allocation sites: the keyed memo
+entries of compiled calls and the ``keyed_mod`` sites of hand-written
+code.  Both retraction paths are covered: the hookless one (which also
+recycles the entry) and the hooked one (``discard``, no recycling).
 """
 
 import random
@@ -25,7 +23,8 @@ from repro.sac import Engine, ReexecutionError
 
 
 def assert_resident(engine):
-    """``memo_table`` holds exactly the live committed memo entries."""
+    """``memo_table`` holds exactly the live committed memo entries, and
+    ``alloc_table`` exactly the live keyed allocation sites."""
     table = engine.memo_table
     entries = [entry for bucket in table.values() for entry in bucket]
     assert all(table.values()), "empty bucket left in the memo table"
@@ -34,7 +33,13 @@ def assert_resident(engine):
     assert len({id(e) for e in entries}) == len(entries)
     assert len(entries) == engine.meter.live_memo_entries
     assert engine.table_residency()["memo_entries"] == len(entries)
-    check_trace(engine, expect_empty_queue=False)
+    sites = engine.alloc_table
+    assert not [s for s in sites.values() if s.dead], "dead site in alloc_table"
+    assert all(site.akey == key for key, site in sites.items())
+    assert all(site.start.owner is site for site in sites.values())
+    assert engine.table_residency()["alloc_entries"] == len(sites)
+    report = check_trace(engine, expect_empty_queue=False)
+    assert report.sites == len(sites), "a live keyed site is not in alloc_table"
 
 
 def _edits(app, session, rng, count, start=0):
@@ -128,9 +133,9 @@ def test_truncate_after_retracts_the_abandoned_suffix():
 
 
 def test_keyed_msort_alloc_table_stays_bounded():
-    """``keyed_mod`` sites die with their trace but stay in
-    ``alloc_table`` until a sweep; the automatic sweep keeps the table
-    within a constant factor of a fresh run's."""
+    """``keyed_mod`` sites leave ``alloc_table`` in the same deletion that
+    kills their stamps, so across many edits the table holds exactly the
+    live sites and stays the size of a fresh run's."""
     from repro.bench.handwritten import hand_msort_keyed
 
     app = REGISTRY["msort"]
@@ -147,13 +152,4 @@ def test_keyed_msort_alloc_table_stays_bounded():
         peak = max(peak, len(engine.alloc_table))
         assert_resident(engine)
     assert list_value_to_python(out) == sorted(handle.to_python())
-    assert engine.meter.compactions > 0
-    assert engine.meter.alloc_entries_compacted > 0
-    assert peak <= 4 * max(fresh_size, engine.compact_threshold)
-
-    removed = engine.compact()
-    assert set(removed) == {"alloc"}
-    assert all(
-        stamp.live and stamp.gen == gen
-        for _mod, stamp, gen in engine.alloc_table.values()
-    )
+    assert peak <= 2 * fresh_size
