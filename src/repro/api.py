@@ -336,24 +336,28 @@ class Session:
             target = self.resolve(mod)
             record = self._journal.encode([(name, value)])
             restore = target.value
-            dirtied = self.engine.change(target, value)
             try:
+                dirtied = self.engine.change(target, value)
                 self._journal.commit(record)
             except BaseException:
-                # The durable write failed after the edit was staged:
-                # undo it, so the state the caller sees (and any later
-                # checkpoint) agrees with the failure they are told
-                # about.  Test the value, not ``dirtied``: an edit whose
-                # readers were all dirty already dirties nothing yet
-                # still changes the cell.  The re-dirtied reads cut off
-                # on equality at the next propagation.
+                # Staging or the durable write failed, possibly after the
+                # cell took the value: undo it, so the state the caller
+                # sees (and any later checkpoint) agrees with the failure
+                # they are told about.  Test the value, not ``dirtied``:
+                # an edit whose readers were all dirty already dirties
+                # nothing yet still changes the cell.  The re-dirtied
+                # reads cut off on equality at the next propagation.
                 if target.value is not restore:
                     try:
                         self.engine.change(target, restore)
                     except Exception as undo_exc:
-                        # The journal failure stays the primary error;
-                        # the cell may now hold a refused value, so the
-                        # engine must not be trusted.
+                        # The journal failure stays the primary error.
+                        # The cell gets its old value back regardless, so
+                        # it agrees with the journal, but the trace may
+                        # have seen the refused one: the engine must not
+                        # be trusted, and only a rebuild (which reads the
+                        # cells afresh) serves from here.
+                        target.value = restore
                         self.engine.poison(
                             f"undoing the refused journaled edit of "
                             f"{name!r} raised {undo_exc!r}"

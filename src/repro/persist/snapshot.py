@@ -11,11 +11,12 @@ Layout (all after a fixed magic line)::
 
 Self-adjusting semantics make a from-scratch run on the current input the
 reference for every value a session shows, so a checkpoint records just
-that input.  Restoring compiles the app, runs it on the recorded data, and
-rebinds the handle registry (each handle names an input cell by its index,
-or the output) and the counters.  The restored session therefore equals a
-fresh :class:`repro.api.Session` run on the same inputs -- values and
-meters -- rather than the trace the saved session had grown.
+that input.  Restoring compiles the app, sets any journal suffix in the
+recorded input cells, runs once on that data, and rebinds the handle
+registry (each handle names an input cell by its index, or the output)
+and the counters.  The restored session therefore equals a fresh
+:class:`repro.api.Session` run on the same inputs -- values and meters --
+rather than the trace the saved session had grown.
 
 The CRCs are the integrity check: a torn tail, flipped bit, or truncated
 file fails closed with :class:`SnapshotCorruptError` before anything runs.
@@ -36,10 +37,11 @@ import marshal
 import os
 import time
 import zlib
-from typing import Any, Collection, Dict, Optional, Tuple
+from typing import Any, Collection, Dict, Optional, Sequence, Tuple
 
 from repro.persist.errors import (
     CodecError,
+    JournalError,
     SnapshotCorruptError,
     SnapshotFormatError,
     SnapshotMismatchError,
@@ -255,15 +257,23 @@ def load_session(
     app: Any = None,
     *,
     backend: Optional[str] = None,
+    mode: Optional[str] = None,
+    journal: Sequence[Tuple[int, Sequence[Tuple[str, Any]]]] = (),
+    backend_fallback: bool = False,
     hook: Any = None,
 ) -> Any:
     """Restore a :class:`repro.api.Session` from ``path``.
 
     ``app`` may be an app name or an :class:`repro.apps.base.App`; when
     omitted, the app named in the header is looked up in the registry.
-    The session is compiled with the recorded options and run from
-    scratch on the recorded inputs, under the recorded mode and (unless
-    ``backend`` overrides it) backend; then the handles and counters are
+    The session is compiled with the recorded options and marshalled on
+    the recorded inputs, under the recorded mode and backend unless
+    ``mode``/``backend`` override them.  A recorded backend this build
+    lacks is a :class:`SnapshotMismatchError`, or with
+    ``backend_fallback`` the default backend.  Each edit in ``journal``
+    (``read_journal`` records that extend this checkpoint) is set in its
+    input cell before anything reads it, so the session runs once, from
+    scratch, on the current inputs; then the handles and counters are
     rebound and ``hook`` is attached.
     """
     from repro.api import Session
@@ -289,22 +299,35 @@ def load_session(
     if backend is None:
         backend = content.get("backend")
         if backend not in BACKENDS:
-            raise SnapshotMismatchError(
-                f"snapshot was written by backend {backend!r}, which this "
-                f"build does not have (expected one of {BACKENDS})"
-            )
+            if not backend_fallback:
+                raise SnapshotMismatchError(
+                    f"snapshot was written by backend {backend!r}, which "
+                    f"this build does not have (expected one of {BACKENDS})"
+                )
+            backend = None
     options = content.get("options", {})
     session = Session(
         app,
         backend=backend,
-        mode=content.get("mode"),
+        mode=mode or content.get("mode"),
         memoize=options.get("memoize", True),
         optimize=options.get("optimize", True),
         coarse=options.get("coarse", False),
     )
-    session.run(data=data)
+    session.prepare(data=data)
     cells = getattr(session.input_handle, "mods", ())
-    for name, ref in header.get("handles", {}).items():
+    handles = header.get("handles", {})
+    for _seq, edits in journal:
+        for name, value in edits:
+            ref = handles.get(name)
+            if ref is None or ref == OUT:
+                raise JournalError(
+                    f"journal edit of {name!r} names no input cell of "
+                    f"checkpoint {path}, so the journal does not extend it"
+                )
+            session.engine.change(cells[ref], value)
+    session.run()
+    for name, ref in handles.items():
         session.handle(session.output if ref == OUT else cells[ref], name)
     counters = header.get("counters", {})
     session.propagations = counters.get("propagations", 0)

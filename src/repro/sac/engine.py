@@ -2219,6 +2219,11 @@ class Engine:
             try:
                 recovery_reexecuted = self.propagate()
             except SacError as exc:
+                # The edits are the host's current inputs: the cells get
+                # them back, so a rebuild (which reads the cells) keeps
+                # them, and the trace is poisoned.
+                for mod, new in redo:
+                    mod.value = new
                 self.poison(f"rollback recovery propagation failed: {exc!r}")
                 raise
         finally:

@@ -17,12 +17,11 @@ three things on top that a lone ``Session`` cannot provide:
   serializable name, never by in-process object.
 * **Per-document recovery.**  A fault inside one document's propagation
   is contained there: the pool rolls the document back
-  (``on_error="rollback"``), escalating after ``max_rollbacks``
-  consecutive rollbacks -- first to a **reopen from the document's last
-  checkpoint** (when ``checkpoint_dir`` is set), then to a from-scratch
-  rebuild -- and marks the document failed only when no recovery
-  applies.  Sibling documents never see any of it -- their engines share
-  nothing but the event loop.
+  (``on_error="rollback"``), escalates after ``max_rollbacks``
+  consecutive rollbacks to a from-scratch rebuild on the document's
+  current inputs, and marks the document failed only when the rebuild
+  fails too.  Sibling documents never see any of it -- their engines
+  share nothing but the event loop.
 * **Durability** (``checkpoint_dir=...``).  Every document gets a
   checkpoint file recording its input data plus an fsync'd write-ahead
   edit journal (:mod:`repro.persist`): edits are journaled before they
@@ -57,15 +56,13 @@ import logging
 import os
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, NoReturn, Optional, Sequence, Tuple
 
 from repro.api import Session
-from repro.backends import BACKENDS
 from repro.persist import (
     JournalCorruptError,
     PersistError,
     SnapshotMismatchError,
-    read_inputs,
 )
 # (a module-level name, so a profiler can wrap it as the replay layer)
 from repro.persist import read_journal as _replay_journal
@@ -180,9 +177,7 @@ class PooledDoc:
     recovered: bool = False
     replayed: int = 0
     checkpoints: int = 0
-    restores: int = 0
     snapshot_failures: int = 0
-    consecutive_restores: int = 0
     ops_since_checkpoint: int = 0
     #: admission-quota accounting for the current scheduling round
     round_edits: int = 0
@@ -221,7 +216,6 @@ class PooledDoc:
             "recovered": self.recovered,
             "replayed": self.replayed,
             "checkpoints": self.checkpoints,
-            "restores": self.restores,
             "snapshot_failures": self.snapshot_failures,
             "quota_rejections": self.quota_rejections,
             "trace_size": self.session.engine.trace_size(),
@@ -256,9 +250,7 @@ class SessionPool:
     scheduling slice; ``on_error`` is the per-document recovery policy
     (``"rollback"``, ``"rebuild"``, or ``"raise"`` to surface faults to
     the caller); after ``max_rollbacks`` consecutive rollbacks on one
-    document the pool escalates it -- to a reopen from the last
-    checkpoint when one exists (at most ``max_restores`` consecutive
-    times), else to a rebuild.
+    document the pool escalates it to a rebuild.
 
     ``checkpoint_dir`` turns on durability: per-document checkpoint +
     write-ahead journal files live there, edits are fsync'd durable
@@ -281,7 +273,6 @@ class SessionPool:
         checkpoint_dir: Optional[str] = None,
         checkpoint_every: int = 64,
         journal_fsync: bool = True,
-        max_restores: int = 1,
         max_edits_per_round: Optional[int] = None,
         max_bytes_per_round: Optional[int] = None,
     ) -> None:
@@ -303,7 +294,6 @@ class SessionPool:
         self.checkpoint_dir = checkpoint_dir
         self.checkpoint_every = checkpoint_every
         self.journal_fsync = journal_fsync
-        self.max_restores = max_restores
         self.max_edits_per_round = max_edits_per_round
         self.max_bytes_per_round = max_bytes_per_round
         if checkpoint_dir is not None:
@@ -317,7 +307,6 @@ class SessionPool:
         self.opened = 0
         self.closed = 0
         self.checkpoints = 0
-        self.restores = 0
         self.snapshot_failures = 0
         self.quota_rejections = 0
 
@@ -479,15 +468,11 @@ class SessionPool:
         Called at open and again after a rebuild (which replaces the
         engine and clears the handle registry).
         """
-        session = doc.session
-        mods = getattr(session.input_handle, "mods", ())
-        doc.cells = [session.handle(m, f"cell:{i}") for i, m in enumerate(mods)]
-        self._bind_out(doc)
-
-    def _bind_out(self, doc: PooledDoc) -> None:
         from repro.sac.modifiable import Modifiable
 
         session = doc.session
+        mods = getattr(session.input_handle, "mods", ())
+        doc.cells = [session.handle(m, f"cell:{i}") for i, m in enumerate(mods)]
         doc.out = None
         if isinstance(session.output, Modifiable):
             doc.out = session.handle(session.output, "out")
@@ -532,72 +517,54 @@ class SessionPool:
         count toward the next checkpoint).
 
         A checkpoint absorbs the journal it supersedes, so its inputs may
-        be the only copy of acknowledged edits.  Raises
+        be the only copy of acknowledged edits.  A torn journal tail is
+        the normal crash signature and is dropped; corruption earlier in
+        the file keeps the clean prefix, so every acknowledged-and-durable
+        edit that can be recovered, is.  Raises
         :class:`SnapshotMismatchError` for a checkpoint of another app and
         other ``PersistError``/``OSError`` when it cannot be read.  The
         recorded backend applies unless ``backend`` overrides it or this
         build lacks it.
         """
+        from repro.persist import load_session
+
         snap, wal = self._doc_paths(name)
-        header, data = read_inputs(snap)
-        content = header.get("content", {})
-        if content.get("app") != app:
-            raise SnapshotMismatchError(
-                f"checkpoint records inputs of app {content.get('app')!r}, "
-                f"not {app!r}"
-            )
-        if backend is None and content.get("backend") in BACKENDS:
-            backend = content["backend"]
-        session = Session(app, mode=mode, backend=backend).prepare(data=data)
-        doc = PooledDoc(name=name, session=session, mode=mode, recovered=True)
-        self._bind_handles(doc)
-        resume = self._replay_into(doc, wal)
-        doc.ops_since_checkpoint = doc.replayed
-        session.run()
-        self._bind_out(doc)
-        doc.journal = session.enable_journal(
-            wal, fsync=self.journal_fsync, resume=resume
-        )
-        return doc
-
-    def _replay_into(self, doc: PooledDoc, wal: str) -> Tuple[int, int]:
-        """Set the journaled values in the unrun document's input cells
-        (counted in ``doc.replayed``); return ``read_journal``'s resume.
-
-        Absolute values make replay idempotent, a torn tail is the normal
-        crash signature and is dropped, and corruption earlier in the
-        file keeps the clean prefix -- every acknowledged-and-durable
-        edit that can be recovered, is.
-        """
-        session = doc.session
+        failures = 0
         try:
             records, resume = _replay_journal(wal)
         except JournalCorruptError as exc:
-            doc.snapshot_failures += 1
+            failures = 1
             self.snapshot_failures += 1
             log.warning(
                 "document %r: journal corrupt after %d record(s); "
                 "replaying the clean prefix",
-                doc.name,
+                name,
                 len(exc.records),
             )
             records, resume = exc.records, exc.resume
-        for _seq, edits in records:
-            for handle, value in edits:
-                try:
-                    session.engine.change(session.resolve(handle), value)
-                except (KeyError, ValueError, TypeError) as exc:
-                    log.warning(
-                        "document %r: journal edit %r -> %r not "
-                        "replayable (%s); skipped",
-                        doc.name,
-                        handle,
-                        value,
-                        exc,
-                    )
-                    continue
-                doc.replayed += 1
-        return resume
+        session = load_session(
+            snap,
+            app,
+            backend=backend,
+            mode=mode,
+            journal=records,
+            backend_fallback=True,
+        )
+        replayed = sum(len(edits) for _seq, edits in records)
+        doc = PooledDoc(
+            name=name,
+            session=session,
+            mode=mode,
+            recovered=True,
+            replayed=replayed,
+            snapshot_failures=failures,
+            ops_since_checkpoint=replayed,
+        )
+        self._bind_handles(doc)
+        doc.journal = session.enable_journal(
+            wal, fsync=self.journal_fsync, resume=resume
+        )
+        return doc
 
     def _checkpoint(self, doc: PooledDoc) -> bool:
         """Cut a checkpoint and truncate the absorbed journal (best
@@ -662,20 +629,6 @@ class SessionPool:
             self.scheduler.enqueue(doc.name)
         else:
             await self._drain_inline(doc)
-
-    def _restore_doc(self, doc: PooledDoc) -> None:
-        """Recovery-ladder rung: replace the document's session with one
-        reopened from its last checkpoint plus the journal suffix (raises
-        ``PersistError``/``OSError`` when the checkpoint cannot be used;
-        the caller escalates)."""
-        old = doc.session
-        app = old.app.name if old.app is not None else None
-        new = self._open_checkpoint(doc.name, app, doc.mode, old.backend)
-        old.disable_journal()
-        doc.session, doc.cells, doc.out = new.session, new.cells, new.out
-        doc.journal = new.journal
-        doc.replayed += new.replayed
-        doc.snapshot_failures += new.snapshot_failures
 
     # -- admission quotas -----------------------------------------------
 
@@ -862,8 +815,6 @@ class SessionPool:
             await self._demand_sliced(doc, target=None, single=False)
         else:
             await self._await_drain(doc)
-        # Re-read after the drain: a reopen-from-checkpoint recovery
-        # replaces the session object mid-drain.
         session = doc.session
         value = session.output
         if session.app is not None:
@@ -875,11 +826,9 @@ class SessionPool:
     ) -> Any:
         """Run a lazy demand in ``slice_budget`` chunks, yielding between
         chunks and recovering per-document on faults."""
+        session = doc.session
         while True:
             doc.check_usable()
-            # Re-read each iteration: a reopen-from-checkpoint recovery
-            # replaces the session object mid-demand.
-            session = doc.session
             try:
                 if single or target is not None:
                     value = session.engine.demand(
@@ -900,7 +849,6 @@ class SessionPool:
                 await asyncio.sleep(0)
                 continue
             doc.consecutive_rollbacks = 0
-            doc.consecutive_restores = 0
             doc.drains += 1
             if not session.engine.queue:
                 doc.resolve_waiters()
@@ -922,7 +870,6 @@ class SessionPool:
             "failed": sum(1 for d in self.docs.values() if d.failed),
             "checkpoint_dir": self.checkpoint_dir,
             "checkpoints": self.checkpoints,
-            "restores": self.restores,
             "snapshot_failures": self.snapshot_failures,
             "quota_rejections": self.quota_rejections,
             "scheduler": self.scheduler.stats(),
@@ -964,14 +911,13 @@ class SessionPool:
             return False
         except (ReexecutionError, EnginePoisonedError) as exc:
             self._recover(doc, exc)  # raises DocFailedError if terminal
-            # doc.session may have been replaced (restore rung); a
-            # recovery that left nothing queued counts as drained.
-            done = not doc.session.engine.queue
+            # A rollback re-stages the undone edits; a rebuild (a fresh
+            # engine) leaves nothing queued, which counts as drained.
+            done = not session.engine.queue
             if done:
                 doc.resolve_waiters()
             return done
         doc.consecutive_rollbacks = 0
-        doc.consecutive_restores = 0
         doc.drains += 1
         doc.resolve_waiters()
         self._round_complete(doc)
@@ -983,77 +929,52 @@ class SessionPool:
         Rollback undoes the staged edits back to the document's last-good
         state and re-stages them for retry (a one-shot fault then drains
         clean on the next slice).  After ``max_rollbacks`` consecutive
-        rollbacks -- or when the engine is poisoned -- escalate: first to
-        a **reopen from the last checkpoint** (checkpointing pools only;
-        a fresh session runs once on the recorded inputs with the journal
-        suffix applied, so no acknowledged edit is lost -- and it works even
-        when the live engine is poisoned), then to a from-scratch
-        rebuild, which replaces the engine and re-binds the wire
-        handles.  If nothing applies, the document (and only the
+        rollbacks -- or when the trace is inconsistent or the engine
+        poisoned -- escalate to a from-scratch **rebuild** on the
+        document's current input cells: a fresh engine (shedding a
+        faulting hook), the wire handles re-bound, and with checkpointing
+        a checkpoint re-based on it.  The input cells hold exactly the
+        checkpoint plus the journal suffix -- a refused edit whose undo
+        fails and a rollback whose recovery fails both leave them so
+        before poisoning the engine -- so the rebuild keeps every
+        acknowledged edit and serves no refused one.  If the rebuild
+        fails too, or does not apply, the document (and only the
         document) is marked failed.
         """
         doc.faults += 1
         session = doc.session
         policy = self.on_error
-        rollback_ok = (
+        if (
             policy == "rollback"
             and isinstance(exc, ReexecutionError)
             and getattr(exc, "consistent", False)
             and doc.consecutive_rollbacks < self.max_rollbacks
-        )
-        if rollback_ok:
+        ):
             try:
                 session.engine.rollback()
             except (ReexecutionError, EnginePoisonedError):
-                rollback_ok = False
+                pass
             else:
                 doc.rollbacks += 1
                 doc.consecutive_rollbacks += 1
                 return "rollback"
-        if (
-            policy in ("rollback", "rebuild")
-            and self.checkpoint_dir is not None
-            and doc.consecutive_restores < self.max_restores
-        ):
-            snap, _wal = self._doc_paths(doc.name)
-            if os.path.exists(snap):
-                try:
-                    self._restore_doc(doc)
-                except (PersistError, OSError) as restore_exc:
-                    doc.snapshot_failures += 1
-                    self.snapshot_failures += 1
-                    log.warning(
-                        "document %r: reopen-from-checkpoint failed "
-                        "(%s: %s); escalating to rebuild",
-                        doc.name,
-                        type(restore_exc).__name__,
-                        restore_exc,
-                    )
-                else:
-                    doc.restores += 1
-                    self.restores += 1
-                    doc.consecutive_restores += 1
-                    doc.consecutive_rollbacks = 0
-                    return "restore"
-        if policy in ("rollback", "rebuild") and session.app is not None:
-            try:
-                session.rebuild()
-            except BaseException as rebuild_exc:  # noqa: BLE001
-                self._fail(doc, rebuild_exc)
-            doc.rebuilds += 1
-            doc.consecutive_rollbacks = 0
-            doc.consecutive_restores = 0
-            self._bind_handles(doc)
-            if self.checkpoint_dir is not None:
-                # Re-base durable state on the rebuilt trace so the next
-                # restore rung starts from it, not the pre-fault world.
-                self._checkpoint(doc)
-            doc.resolve_waiters()
-            return "rebuild"
-        self._fail(doc, exc)
-        return "failed"  # pragma: no cover - _fail always raises
+        if policy == "raise" or session.app is None:
+            self._fail(doc, exc)
+        try:
+            session.rebuild()
+        except BaseException as rebuild_exc:  # noqa: BLE001
+            self._fail(doc, rebuild_exc)
+        doc.rebuilds += 1
+        doc.consecutive_rollbacks = 0
+        self._bind_handles(doc)
+        if self.checkpoint_dir is not None:
+            # Best effort: when it fails, the previous checkpoint plus
+            # the retained journal still reopen to these inputs.
+            self._checkpoint(doc)
+        doc.resolve_waiters()
+        return "rebuild"
 
-    def _fail(self, doc: PooledDoc, exc: BaseException) -> None:
+    def _fail(self, doc: PooledDoc, exc: BaseException) -> NoReturn:
         doc.failed = True
         doc.error = f"{type(exc).__name__}: {exc}"
         self.scheduler.discard(doc.name)

@@ -406,6 +406,34 @@ def test_crash_recovery_loses_no_acknowledged_edit(tmp_path, mode):
     assert values_close(app.readback(recovered.output), expected)
 
 
+def test_load_session_applies_a_journal_suffix_before_its_one_run(tmp_path):
+    """``load_session(journal=...)`` sets the suffix in the unrun cells:
+    the session equals a fresh run on the edited inputs, meters included.
+    A suffix naming a handle the checkpoint lacks does not extend it and
+    is refused before anything runs."""
+    from repro.persist import load_session
+
+    snap = str(tmp_path / "j.snap")
+    session, app, _rng = _run_session(SCALAR_APP, 6, 1, "stack", "eager")
+    _bind_cells(session)
+    session.snapshot(snap)
+    suffix = [(1, [("cell:1", 9.5)]), (2, [("cell:4", -1.25), ("cell:1", 2.0)])]
+
+    loaded = load_session(snap, journal=suffix, mode="lazy")
+    data = app.handle_data(session.input_handle)
+    data[1], data[4] = 2.0, -1.25
+    fresh = Session(app, backend="stack", mode="lazy")
+    fresh.run(data=data)
+    assert loaded.mode == "lazy"
+    assert app.handle_data(loaded.input_handle) == data
+    assert loaded.engine.meter.snapshot() == fresh.engine.meter.snapshot()
+    assert values_close(app.readback(loaded.output), app.reference(data))
+    assert loaded.get("cell:4") == -1.25
+
+    with pytest.raises(JournalError, match="'cell:9'"):
+        load_session(snap, journal=[(1, [("cell:9", 1.0)])])
+
+
 def test_journal_fsync_off_still_replays(tmp_path):
     wal = str(tmp_path / "nf.wal")
     with EditJournal(wal, fsync=False) as journal:
@@ -607,6 +635,63 @@ def test_failed_undo_of_refused_journaled_edit_poisons(tmp_path):
     assert calls == [50.0, 3.0]
     with pytest.raises(EnginePoisonedError, match="'cell:2'"):
         session.demand()
+
+
+def test_journaled_edit_whose_staging_raises_is_undone(tmp_path):
+    """An edit whose staging raises after the cell took the value (here
+    a faulting change hook) is never journaled, so it is undone like one
+    whose journal commit fails: the cell keeps the journaled state."""
+    from repro.obs.faults import FaultInjector, PlantedFault
+
+    app = REGISTRY[SCALAR_APP]
+    session = Session(app, mode="lazy")
+    session.run(data=[1.0, 2.0, 3.0, 4.0])
+    _bind_cells(session)
+    session.enable_journal(str(tmp_path / "stage.wal"))
+    session.engine.attach_hook(FaultInjector("change", at=0, during="run"))
+    with pytest.raises(PlantedFault):
+        session.edit("cell:2", 50.0)
+    assert session.input_handle.mods[2].value == 3.0
+    assert replay_journal(str(tmp_path / "stage.wal")) == []
+    assert values_close(app.readback(session.rebuild()), 10.0)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_failed_undo_of_refused_journaled_edit_keeps_the_old_value(
+    tmp_path, backend, mode
+):
+    """A failed undo still leaves the refused edit's old value in the
+    cell, so the cells agree with the journal: a rebuild (which reads
+    them) serves the oracle output without the refused value."""
+    app = REGISTRY[SCALAR_APP]
+    session = Session(app, backend=backend, mode=mode)
+    session.run(data=[1.0, 2.0, 3.0, 4.0])
+    _bind_cells(session)
+    journal = session.enable_journal(str(tmp_path / "undo.wal"))
+    session.edit("cell:1", 10.0)
+    real_change = session.engine.change
+
+    def change_then_fail_undo(mod, value):
+        if value == 4.0:
+            raise RuntimeError("undo failed")
+        return real_change(mod, value)
+
+    def boom(record):
+        raise OSError("disk full")
+
+    session.engine.change = change_then_fail_undo
+    journal.commit = boom
+    with pytest.raises(OSError):
+        session.edit("cell:3", 40.0)
+    assert session.engine.poisoned
+    expected = app.reference([1.0, 10.0, 3.0, 4.0])
+    assert values_close(app.readback(session.rebuild()), expected)
+    _bind_cells(session)
+    assert session.get("cell:3") == 4.0
+    assert replay_journal(str(tmp_path / "undo.wal")) == [
+        (1, [("cell:1", 10.0)])
+    ]
 
 
 # ----------------------------------------------------------------------

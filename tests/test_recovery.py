@@ -442,6 +442,7 @@ def test_persistent_fault_rollback_poisons_then_rebuild_recovers():
     session.run(data=data)
 
     app.apply_change(session.input_handle, rng, 0)
+    edited = app.handle_data(session.input_handle)
     # Rollback's recovery propagation re-hits the persistent fault: the
     # engine cannot restore any consistent state and poisons itself.
     with pytest.raises(ReexecutionError):
@@ -449,14 +450,17 @@ def test_persistent_fault_rollback_poisons_then_rebuild_recovers():
     assert session.engine.poisoned
     with pytest.raises(EnginePoisonedError):
         session.propagate()
+    # The input cells still hold the edit, not the undone last-good state.
+    assert app.handle_data(session.input_handle) == edited
 
-    # Rebuild replaces the engine outright, so it recovers even now.
+    # Rebuild replaces the engine outright, so it recovers even now, on
+    # the edited inputs.
     stats = session.propagate(on_error="rebuild")
     assert stats.path == "rebuild"
     assert isinstance(stats.error, EnginePoisonedError)
     assert not session.engine.poisoned
-    current = app.handle_data(session.input_handle)
-    assert app.readback(session.output) == app.reference(current)
+    assert app.handle_data(session.input_handle) == edited
+    assert app.readback(session.output) == app.reference(edited)
 
 
 def test_rebuild_requires_app_and_handle():

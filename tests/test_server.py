@@ -649,10 +649,11 @@ def test_pool_refused_lazy_edit_is_not_staged(tmp_path):
     asyncio.run(main())
 
 
-def test_pool_failed_undo_of_refused_edit_reopens_from_checkpoint(tmp_path):
-    """If undoing a refused journaled edit raises, the engine is
-    poisoned, and the next read reopens the document from its checkpoint
-    plus journal: only acknowledged edits survive."""
+def test_pool_failed_undo_of_refused_edit_rebuilds_without_it(tmp_path):
+    """If undoing a refused journaled edit raises, the cell still gets
+    its old value back and the engine is poisoned, so the next read
+    rebuilds the document on its cells: only acknowledged edits survive,
+    in the served value and in what a reopen reads back."""
 
     async def main():
         pool = SessionPool(mode="lazy", checkpoint_dir=str(tmp_path))
@@ -677,12 +678,25 @@ def test_pool_failed_undo_of_refused_edit_reopens_from_checkpoint(tmp_path):
         with pytest.raises(OSError):
             await pool.edit("doc", "cell:3", 40.0)
         assert engine.poisoned
+        del doc.journal.commit
         assert values_close((await pool.demand("doc"))["value"], 18.0)
         assert doc.session.engine is not engine
         stats = pool.stats("doc")
-        assert stats["restores"] == 1 and not stats["failed"]
+        assert (stats["rebuilds"], stats["failed"]) == (1, False)
+        assert "restores" not in stats and "restores" not in pool.stats()
         assert (await pool.get("doc", "cell:3"))["value"] == 4.0
+        # The journal keeps taking edits after the rebuild.
+        await pool.edit("doc", "cell:0", 5.0)
+        assert values_close((await pool.demand("doc"))["value"], 22.0)
         await pool.stop()
+
+        reborn = SessionPool(mode="lazy", checkpoint_dir=str(tmp_path))
+        info = reborn.open("doc", app="vec-reduce")
+        assert info["recovered"] is True
+        assert values_close(info["value"], 22.0)
+        for cell, value in (("cell:0", 5.0), ("cell:1", 10.0), ("cell:3", 4.0)):
+            assert (await reborn.get("doc", cell))["value"] == value
+        await reborn.stop()
 
     asyncio.run(main())
 
@@ -849,10 +863,11 @@ def test_pool_checkpoint_naming_a_removed_backend(tmp_path):
     asyncio.run(main())
 
 
-def test_pool_recovery_ladder_uses_restore_rung(tmp_path):
-    """A persistent fault exhausts the rollback budget; with a checkpoint
-    on disk the pool reopens the document from it (shedding the faulting
-    hook with it) instead of rebuilding from scratch."""
+def test_pool_recovery_ladder_rebuilds_after_rollbacks(tmp_path):
+    """A persistent fault exhausts the rollback budget; the pool then
+    rebuilds the document on its current inputs (shedding the faulting
+    hook with the old engine), and the checkpoint it leaves reopens to
+    the same value."""
 
     async def main():
         pool = SessionPool(
@@ -868,13 +883,19 @@ def test_pool_recovery_ladder_uses_restore_rung(tmp_path):
         )
         await pool.edit("doc", "cell:5", 2.5)
         got = await pool.demand("doc")
-        assert doc.restores == 1
-        assert doc.rebuilds == 0
+        assert doc.rebuilds == 1
         assert not doc.failed
         assert values_close(got["value"], _expected(pool, "doc"))
-        # The journaled edit survived the restore.
+        # The journaled edit survived the rebuild.
         assert (await pool.get("doc", "cell:5"))["value"] == 2.5
         await pool.stop()
+
+        reborn = SessionPool(mode="lazy", checkpoint_dir=str(tmp_path))
+        info = reborn.open("doc", app="vec-reduce")
+        assert info["recovered"] is True
+        assert values_close(info["value"], got["value"])
+        assert (await reborn.get("doc", "cell:5"))["value"] == 2.5
+        await reborn.stop()
 
     asyncio.run(main())
 
@@ -1005,11 +1026,11 @@ def test_pool_crash_cycles_keep_the_journal_bounded(tmp_path, mode, backend):
 
 @pytest.mark.parametrize("backend", ["interp", "stack"])
 @pytest.mark.parametrize("mode", ["eager", "lazy"])
-def test_pool_restore_rung_replays_the_journal_suffix(tmp_path, mode, backend):
-    """The restore rung reopens like open does -- the journal suffix
-    applied to the recorded inputs, one run -- and ends
-    oracle-consistent, with every journaled edit, the faulting one
-    included."""
+def test_pool_rebuild_rung_keeps_every_journaled_edit(tmp_path, mode, backend):
+    """The rebuild rung runs on the live input cells, which hold every
+    journaled edit, the faulting one included: it ends oracle-consistent
+    on the document's backend, and the journal it resumes keeps taking
+    edits that a reopen reads back."""
     edits = _random_edits(random.Random(3), 4)
 
     async def main():
@@ -1030,18 +1051,92 @@ def test_pool_restore_rung_replays_the_journal_suffix(tmp_path, mode, backend):
         )
         await pool.edit("doc", "cell:5", 2.5)
         got = await pool.demand("doc")
-        assert (doc.restores, doc.rebuilds, doc.failed) == (1, 0, False)
-        assert doc.replayed == len(edits) + 1
+        assert (doc.rebuilds, doc.failed) == (1, False)
         assert doc.session.backend == backend
         assert values_close(got["value"], _expected(pool, "doc"))
         for cell, value in dict(edits + [("cell:5", 2.5)]).items():
             assert (await pool.get("doc", cell))["value"] == value
-        # The resumed journal keeps taking edits after the restore.
+        # The journal keeps taking edits after the rebuild, whose
+        # checkpoint absorbed the ones before it.
         await pool.edit("doc", "cell:6", -1.5)
         got = await pool.demand("doc")
         assert values_close(got["value"], _expected(pool, "doc"))
         _snap, wal = pool._doc_paths("doc")
-        assert len(replay_journal(wal)) == len(edits) + 2
+        assert replay_journal(wal) == [(1, [("cell:6", -1.5)])]
+        await pool.stop()
+
+        reborn = SessionPool(mode=mode, checkpoint_dir=str(tmp_path))
+        info = reborn.open("doc", app="vec-reduce")
+        assert (info["recovered"], info["backend"]) == (True, backend)
+        assert values_close(info["value"], got["value"])
+        acked = edits + [("cell:5", 2.5), ("cell:6", -1.5)]
+        for cell, value in dict(acked).items():
+            assert (await reborn.get("doc", cell))["value"] == value
+        await reborn.stop()
+
+    asyncio.run(main())
+
+
+@pytest.mark.parametrize("backend", ["interp", "stack"])
+@pytest.mark.parametrize("mode", ["eager", "lazy"])
+def test_pool_rebuild_rung_survives_a_failed_checkpoint(
+    tmp_path, mode, backend
+):
+    """When the rebuild rung's checkpoint fails, the document keeps
+    serving and keeps its journal: the previous checkpoint plus that
+    journal reopen -- with no stop() -- to every acknowledged edit and
+    no refused one."""
+    edits = [("cell:1", 1.5), ("cell:4", -2.0), ("cell:9", 3.25)]
+
+    async def main():
+        pool = SessionPool(
+            mode=mode,
+            backend=backend,
+            checkpoint_dir=str(tmp_path),
+            checkpoint_every=10_000,
+        )
+        pool.open("doc", app="vec-reduce", n=16, seed=4)
+        for cell, value in edits:
+            await pool.edit("doc", cell, value)
+        doc = pool.docs["doc"]
+        session = doc.session
+        old = session.get("cell:7")
+        real_change = session.engine.change
+        calls = []
+
+        def change_once(mod, value):
+            calls.append(value)
+            if len(calls) > 1:
+                raise RuntimeError("undo failed")
+            return real_change(mod, value)
+
+        def boom(*args):
+            raise OSError("disk full")
+
+        session.engine.change = change_once
+        doc.journal.commit = boom
+        with pytest.raises(OSError):
+            await pool.edit("doc", "cell:7", old + 40.0)
+        del doc.journal.commit
+        session.snapshot = boom
+        got = await pool.demand("doc")
+        assert (doc.rebuilds, doc.snapshot_failures) == (1, 1)
+        assert not doc.failed
+        assert values_close(got["value"], _expected(pool, "doc"))
+        assert (await pool.get("doc", "cell:7"))["value"] == old
+        await pool.edit("doc", "cell:2", 0.25)
+        got = await pool.demand("doc")
+        assert values_close(got["value"], _expected(pool, "doc"))
+        # No stop(): the pool is abandoned like a killed process.
+
+        reborn = SessionPool(mode=mode, checkpoint_dir=str(tmp_path))
+        info = reborn.open("doc", app="vec-reduce")
+        acked = edits + [("cell:2", 0.25)]
+        assert (info["recovered"], info["replayed"]) == (True, len(acked))
+        assert values_close(info["value"], got["value"])
+        for cell, value in dict(acked + [("cell:7", old)]).items():
+            assert (await reborn.get("doc", cell))["value"] == value
+        await reborn.stop()
 
     asyncio.run(main())
 
