@@ -16,24 +16,19 @@ one read of the output's head cell:
 Most edits land in cells the head's cone never touches, so the lazy
 side must beat the eager side by at least 10x at n=256.
 
-Two further regimes compare the maintained reverse-reachability
-summaries (``feeds="summary"``, the default) against the retired
-per-demand DFS (``feeds="dfs"``):
+Two further regimes measure the relevance filter (the memoized DFS
+over reader edges that decides, per queue entry, whether dirty work
+feeds a demanded cell) on a large standing dirty queue:
 
-* repeated-demand: EDITS staged edits (a large standing dirty queue),
-  then REPEATS rounds of one edit plus one head demand.  Re-execution
-  work is *identical* between the impls (the relevance verdicts agree),
-  so wall times land within noise of each other; the asymmetry is in
-  the relevance filter itself, reported as deterministic counters: the
-  DFS explores ``feeds_dfs_visits`` reader-graph nodes to produce its
-  per-entry verdicts, where the summaries answer each verdict with one
-  bitmask test.  The gate (>=3x at n=256) is on visits per verdict --
-  machine-noise-free, and exactly the cost the summaries removed from
-  the drain loop.
+* repeated-demand: EDITS staged edits, then REPEATS rounds of one edit
+  plus one head demand.  Reported: wall time, the reader-graph nodes
+  the DFS explored (``feeds_dfs_visits``), the relevance verdicts it
+  produced (queue pops: drained + deferred), visits per verdict, and
+  the re-executions the demands paid for.
 * many-targets: the same standing queue, then REPEATS rounds of one
   edit plus one multi-target demand of 8 output-spine cells held from
   the initial run (the server-pool pattern: clients keep references and
-  re-read them in batches).
+  re-read them in batches).  Reported: wall time and DFS visits.
 
 ``REPRO_LAZY_SIZES`` overrides the input sizes (e.g. "64" for a CI
 smoke run); the claims are only asserted at the defaults.
@@ -59,10 +54,10 @@ REPEATS = 8
 ATTEMPTS = 5
 
 
-def _fresh(n, mode, seed=3, feeds=None):
+def _fresh(n, mode, seed=3):
     app = REGISTRY["msort"]
     rng = random.Random(seed)
-    session = Session(app, mode=mode, feeds=feeds)
+    session = Session(app, mode=mode)
     output = session.run(data=app.make_data(n, rng))
     return app, rng, session, output
 
@@ -136,17 +131,15 @@ def test_lazy_demand_msort(benchmark, capsys):
 
 
 # ----------------------------------------------------------------------
-# Summary vs DFS regimes
+# Relevance-filter regimes
 
 
-def _repeated_demand(n, feeds):
+def _repeated_demand(n):
     """EDITS staged edits, then REPEATS x (one edit + one head demand).
 
-    Returns the wall seconds of the demand rounds and the meter deltas
-    the gate needs: reader-graph nodes the DFS explored, per-entry
-    relevance verdicts produced (queue pops: drained + deferred), and
-    re-executions (must be impl-independent)."""
-    app, rng, session, output = _fresh(n, "lazy", feeds=feeds)
+    Returns the wall seconds of the demand rounds and their DFS visits,
+    relevance verdicts and re-executions."""
+    app, rng, session, output = _fresh(n, "lazy")
     for step in range(EDITS):
         app.apply_change(session.input_handle, rng, step)
     meter = session.engine.meter
@@ -180,108 +173,78 @@ def _spine_cells(output, count):
     return cells[:: stride][:count]
 
 
-def _many_targets(n, feeds):
+def _many_targets(n):
     """EDITS staged edits, then REPEATS x (one edit + one batched demand
-    of 8 output-spine cells held since the initial run)."""
-    app, rng, session, output = _fresh(n, "lazy", feeds=feeds)
+    of 8 output-spine cells held since the initial run).  Returns the
+    wall seconds and the DFS visits of the demand rounds."""
+    app, rng, session, output = _fresh(n, "lazy")
     targets = _spine_cells(output, 8)
     for step in range(EDITS):
         app.apply_change(session.input_handle, rng, step)
     engine = session.engine
+    before = engine.meter.feeds_dfs_visits
     started = time.perf_counter()
     for k in range(REPEATS):
         app.apply_change(session.input_handle, rng, EDITS + k)
         values = engine.demand(targets)
         assert len(values) == len(targets)
-    return time.perf_counter() - started
+    elapsed = time.perf_counter() - started
+    return elapsed, engine.meter.feeds_dfs_visits - before
 
 
-def test_repeated_demand_summary_vs_dfs(benchmark, capsys):
+def test_repeated_demand(benchmark, capsys):
     def run():
         rows = {}
         for n in SIZES:
-            for feeds in ("summary", "dfs"):
-                samples = [_repeated_demand(n, feeds) for _ in range(ATTEMPTS)]
-                rows[(n, feeds)] = (
-                    [s[0] for s in samples],  # wall samples
-                    samples[0][1],  # dfs visits (deterministic)
-                    samples[0][2],  # verdicts
-                    samples[0][3],  # reexecutions
-                )
+            samples = [_repeated_demand(n) for _ in range(ATTEMPTS)]
+            # Counters are deterministic; wall time keeps every sample.
+            rows[n] = ([s[0] for s in samples],) + samples[0][1:]
         return rows
 
     rows = once(benchmark, run)
 
-    visits_per_verdict = [
-        rows[(n, "dfs")][1] / max(rows[(n, "dfs")][2], 1) for n in SIZES
-    ]
     series = {
-        "summary wall (s)": [min(rows[(n, "summary")][0]) for n in SIZES],
-        "dfs wall (s)": [min(rows[(n, "dfs")][0]) for n in SIZES],
-        "dfs filter visits": [rows[(n, "dfs")][1] for n in SIZES],
-        "relevance verdicts": [rows[(n, "dfs")][2] for n in SIZES],
-        "dfs visits/verdict": visits_per_verdict,
-        "summary ops/verdict": [1.0 for _ in SIZES],
+        "wall (s)": [min(rows[n][0]) for n in SIZES],
+        "dfs filter visits": [rows[n][1] for n in SIZES],
+        "relevance verdicts": [rows[n][2] for n in SIZES],
+        "dfs visits/verdict": [rows[n][1] / max(rows[n][2], 1) for n in SIZES],
+        "reads re-executed": [rows[n][3] for n in SIZES],
     }
     text = format_series(
         f"Repeated demand: msort, {EDITS} staged edits then {REPEATS} x "
-        f"(edit + head demand), maintained summaries vs per-demand DFS",
+        f"(edit + head demand), DFS relevance filter",
         SIZES,
         series,
     )
     text += "\n\n" + format_spread_rows(
-        f"wall-time spread at n={SIZES[-1]} ({ATTEMPTS} attempts)",
-        {
-            "summary": rows[(SIZES[-1], "summary")][0],
-            "dfs": rows[(SIZES[-1], "dfs")][0],
-        },
+        f"wall-time spread ({ATTEMPTS} attempts)",
+        {f"n={n}": rows[n][0] for n in SIZES},
     )
-
-    for n in SIZES:
-        # Near-identical re-execution work: the DFS's never-retracted
-        # positive memo can run an edge whose relevance died mid-drain
-        # (the exact summaries defer it), and hazard-retry counts differ
-        # with it, so allow a small band rather than exact equality.
-        s_re, d_re = rows[(n, "summary")][3], rows[(n, "dfs")][3]
-        assert abs(s_re - d_re) <= 0.05 * max(s_re, d_re), (
-            f"impls diverged at n={n}: summary re-executed "
-            f"{s_re} edges, dfs {d_re}"
-        )
-    if not _SMOKE:
-        at256 = SIZES.index(256)
-        # Re-execution work is identical between the impls (asserted
-        # above), so wall times sit within scheduler noise of each other;
-        # the claim the summaries make is about the per-entry drain check,
-        # and that is deterministic: the DFS baseline explores >=3
-        # reader-graph nodes for every relevance verdict that the
-        # maintained summaries answer with a single bitmask test.
-        assert visits_per_verdict[at256] >= 3.0, (
-            f"summary filter lost its 3x edge over the DFS baseline at "
-            f"n=256: {visits_per_verdict[at256]:.2f} visits/verdict"
-        )
-
     emit(capsys, "Lazy demand repeated", text)
 
 
-def test_many_targets_demand_summary_vs_dfs(benchmark, capsys):
+def test_many_targets_demand(benchmark, capsys):
     def run():
-        out = {}
-        for feeds in ("summary", "dfs"):
-            out[feeds] = [
-                min(_many_targets(n, feeds) for _ in range(ATTEMPTS))
-                for n in SIZES
-            ]
-        return out
+        rows = {}
+        for n in SIZES:
+            samples = [_many_targets(n) for _ in range(ATTEMPTS)]
+            rows[n] = ([s[0] for s in samples], samples[0][1])
+        return rows
 
-    walls = once(benchmark, run)
+    rows = once(benchmark, run)
     series = {
-        "summary wall (s)": walls["summary"],
-        "dfs wall (s)": walls["dfs"],
+        "wall (s)": [min(rows[n][0]) for n in SIZES],
+        "dfs filter visits": [rows[n][1] for n in SIZES],
     }
     text = format_series(
         f"Many-targets demand: msort, {EDITS} staged edits then "
-        f"{REPEATS} x (edit + batched demand of 8 spine cells)",
+        f"{REPEATS} x (edit + batched demand of 8 spine cells), DFS "
+        f"relevance filter",
         SIZES,
         series,
+    )
+    text += "\n\n" + format_spread_rows(
+        f"wall-time spread ({ATTEMPTS} attempts)",
+        {f"n={n}": rows[n][0] for n in SIZES},
     )
     emit(capsys, "Lazy demand many targets", text)

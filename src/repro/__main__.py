@@ -532,7 +532,7 @@ def main(argv=None) -> int:
     p_profile.add_argument(
         "--mode", choices=["eager", "lazy"], default="eager",
         help="propagation mode: lazy follows each change with a demand "
-             "of the output's surface, so the feeds: line shows live "
+             "of the output's surface, so the demand: line shows live "
              "laziness counters",
     )
     p_profile.set_defaults(fn=_cmd_profile)

@@ -177,16 +177,9 @@ class Session:
         engine: Optional[Engine] = None,
         hook: Optional[Any] = None,
         mode: str = "eager",
-        feeds: Optional[str] = None,
-        feeds_oracle: Optional[bool] = None,
     ) -> None:
         if mode not in ("eager", "lazy"):
             raise ValueError(f'mode must be "eager" or "lazy", got {mode!r}')
-        if engine is not None and feeds is not None and engine.feeds_impl != feeds:
-            raise ValueError(
-                f"feeds={feeds!r} conflicts with the supplied engine "
-                f"(feeds={engine.feeds_impl!r})"
-            )
         if engine is not None and mode == "lazy" and not engine.lazy:
             raise ValueError(
                 'mode="lazy" conflicts with the supplied eager engine; '
@@ -221,14 +214,8 @@ class Session:
                     memoize=memoize, optimize_flag=optimize, coarse=coarse
                 )
         self.options = self.program.options
-        self.engine = (
-            engine
-            if engine is not None
-            else Engine(mode=mode, feeds=feeds, feeds_oracle=feeds_oracle)
-        )
+        self.engine = engine if engine is not None else Engine(mode=mode)
         self.mode = self.engine.mode
-        #: relevance implementation carried to :meth:`rebuild` replacements.
-        self.feeds = self.engine.feeds_impl
         if hook is not None:
             self.engine.attach_hook(hook)
         self.instance = None
@@ -674,7 +661,7 @@ class Session:
                 "input (run with data=...)"
             )
         data = self.app.handle_data(self.input_handle)
-        self.engine = Engine(mode=self.mode, feeds=self.feeds)
+        self.engine = Engine(mode=self.mode)
         self.instance = None
         self.input_handle = None
         self.input_value = _UNSET

@@ -102,7 +102,7 @@ class ProfileReport:
                 f"{phase.gc_seconds:>9.5f} {gens:>11} {cells}"
             )
         lines.append("")
-        for section in ("order", "queue", "pools", "feeds"):
+        for section in ("order", "queue", "pools", "demand"):
             stats = self.hot_stats.get(section, {})
             body = "  ".join(f"{k}={v}" for k, v in stats.items())
             lines.append(f"{section + ':':<7} {body}")
@@ -175,8 +175,8 @@ def profile_app(
 
     With ``mode="lazy"`` each change is followed by a *demand* of the
     output's top-level modifiable(s) instead of a full propagate, so the
-    ``feeds:`` line reports live laziness counters (demands served
-    clean, entries deferred, summary hits) instead of ``impl=n/a``.
+    ``demand:`` line reports live laziness counters (demands served
+    clean, entries deferred, relevance-walk visits) instead of zeros.
     """
     from repro.apps import REGISTRY
     from repro.backends import resolve_backend

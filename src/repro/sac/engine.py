@@ -34,7 +34,6 @@ from typing import Any, Callable, Hashable, Iterable, List, Optional, Sequence, 
 
 from repro.sac.exceptions import (
     EnginePoisonedError,
-    FeedsOracleError,
     PropagationBudgetExceeded,
     PropagationError,
     ReadOutsideModError,
@@ -48,12 +47,6 @@ from repro.sac.meter import Meter
 from repro.sac.modifiable import UNWRITTEN, Modifiable
 from repro.sac.order import Order, Stamp
 from repro.sac.trace import AllocSite, MemoEntry, ReadEdge
-
-#: bit 0 of every reverse-reachability summary bitset: "feeds a
-#: ``dest=None`` edge", i.e. conservatively feeds everything.  Demand
-#: roots own the higher bits (see ``Modifiable.root_bit``).
-UNIV = 1
-
 
 def _values_equal(a: Any, b: Any) -> bool:
     """Conservative value equality used to suppress no-op writes.
@@ -174,13 +167,7 @@ class Engine:
     #: this point the full pass is the cheaper sound option).
     DEMAND_HAZARD_CAP = 32
 
-    def __init__(
-        self,
-        *,
-        mode: str = "eager",
-        feeds: Optional[str] = None,
-        feeds_oracle: Optional[bool] = None,
-    ) -> None:
+    def __init__(self, *, mode: str = "eager") -> None:
         import os
         import sys
 
@@ -194,49 +181,6 @@ class Engine:
         #: still works and clears every suspect bit.
         self.mode = mode
         self.lazy = mode == "lazy"
-        #: how lazy demand decides relevance (``"summary"``: maintained
-        #: reverse-reachability bitsets, O(1) amortized per queue entry;
-        #: ``"dfs"``: the retired per-demand memoized DFS, kept as the
-        #: benchmark baseline and a fallback).  Selected per engine or via
-        #: the ``REPRO_FEEDS`` environment variable; irrelevant to eager
-        #: engines.
-        if feeds is None:
-            feeds = os.environ.get("REPRO_FEEDS") or "summary"
-        if feeds not in ("summary", "dfs"):
-            raise ValueError(f'feeds must be "summary" or "dfs", got {feeds!r}')
-        self.feeds_impl = feeds
-        #: differential debug oracle: every summary relevance verdict
-        #: recomputes reachability from scratch and raises
-        #: :class:`FeedsOracleError` on divergence.  ``REPRO_FEEDS_ORACLE=1``
-        #: turns it on for chaos sweeps.
-        if feeds_oracle is None:
-            feeds_oracle = os.environ.get(
-                "REPRO_FEEDS_ORACLE", ""
-            ).lower() in ("1", "true", "yes", "on")
-        self.feeds_oracle = bool(feeds_oracle)
-        self._feeds_summary = self.lazy and feeds == "summary"
-        #: union of the summary bitsets of every live dirty queue entry's
-        #: destination (``UNIV`` for ``dest=None`` entries): the set of
-        #: demand roots that pending work can still reach.  Maintained
-        #: incrementally on dirty transitions (exact at rest, a sound
-        #: over-approximation mid-drain) and reconciled against the queue
-        #: at every drain exit.  A registered target whose root bit is
-        #: absent here is provably clean -- that is the O(1) demand fast
-        #: path.
-        self._dirty_roots = 0
-        #: whether ``_dirty_roots`` is currently exact (it is always a
-        #: sound over-approximation; rewiring through *invalid* summaries
-        #: can hide growth, in which case this flips False and relevance
-        #: stops trusting "provably clean" until the next reconciliation).
-        self._dirty_roots_exact = True
-        self._next_root_bit = UNIV << 1
-        #: edge-death invalidations queued while a summary demand drain is
-        #: running (see :meth:`_note_edge_death`); flushed at drain exit.
-        self._deferred_deaths: List[Modifiable] = []
-        #: non-None exactly while a summary-impl demand drain runs: the
-        #: drained targets' root bits ``| UNIV``, the mask a destination's
-        #: summary is tested against for relevance.
-        self._drain_mask: Optional[int] = None
         limit = self.RECURSION_LIMIT
         env_limit = os.environ.get("REPRO_RECURSION_LIMIT")
         if env_limit:
@@ -289,7 +233,6 @@ class Engine:
         #: reader runs; once one is observed, :meth:`demand` degrades to a
         #: full propagation (still correct, no longer lazy).
         self._has_imperative = False
-        #: non-None exactly while a demand drain is re-executing: the
         #: the active demand drain's relevance memo (None outside demand
         #: drains), consulted by :meth:`read` to refuse reads of
         #: possibly-stale modifiables (see :class:`_DemandStaleRead`).
@@ -603,7 +546,6 @@ class Engine:
         self.meter.changed_writes += 1
         now_key = self.now.key
         lazy = self.lazy
-        summary = self._feeds_summary
         dirtied = 0
         for edge in list(dest.readers):
             if edge.dead or edge.dirty:
@@ -614,18 +556,12 @@ class Engine:
                 dirtied += 1
                 if lazy:
                     self._mark_suspect(edge.dest)
-                    if summary:
-                        d = edge.dest
-                        self._dirty_roots |= (
-                            UNIV if d is None else self._bits(d)
-                        )
         if self.hook is not None:
             self.hook.on_impwrite(dest, value, True, dirtied)
 
     def _dirty_readers(self, mod: Modifiable) -> int:
         dirtied = 0
         lazy = self.lazy
-        summary = self._feeds_summary
         # Dirtying never mutates the reader set, so no defensive copy.
         for edge in mod.readers:
             if not edge.dead and not edge.dirty:
@@ -639,15 +575,6 @@ class Engine:
                     # the still-queued edges when it completes, so marking
                     # on the clean->dirty transition suffices.
                     self._mark_suspect(edge.dest)
-                    if summary:
-                        # Keep the dirty-roots union exact at edit time:
-                        # the demand fast path reads it before any drain
-                        # runs, so a conservative UNIV here would cost a
-                        # full drain on a provably clean target.
-                        d = edge.dest
-                        self._dirty_roots |= (
-                            UNIV if d is None else self._bits(d)
-                        )
         return dirtied
 
     def _mark_suspect(self, mod: Optional[Modifiable]) -> None:
@@ -724,362 +651,6 @@ class Engine:
         self._suspect_mods = kept
 
     # ------------------------------------------------------------------
-    # Maintained reverse-reachability summaries (lazy feeds="summary")
-    #
-    # Each modifiable carries ``fsum``, an int bitset of the demand roots
-    # its value can flow into through live reader edges (bit 0 = UNIV =
-    # "feeds a dest=None edge, i.e. everything"), plus ``fsum_valid`` and
-    # a lazily allocated reverse index ``in_edges`` (live edges whose
-    # ``dest`` is this modifiable -- its feeders).  The core invariant is
-    # *invalid-closed-upstream*: whenever a summary is invalid, the
-    # summaries of everything feeding it are invalid too.  Invalidation
-    # therefore walks upstream with stop-at-invalid (amortized O(1) per
-    # edge death), growth walks upstream monotonically, and revalidation
-    # recomputes a whole invalid region -- which is downstream-closed by
-    # the same invariant -- in one fixpoint on first query.  The result:
-    # the drain loop's per-entry relevance check is a bitmask test against
-    # ``_drain_mask`` instead of the per-demand DFS that ``feeds="dfs"``
-    # still runs.
-
-    def _note_new_edge(self, edge: ReadEdge) -> None:
-        """Summary maintenance for a just-registered reader edge.
-
-        The new edge makes ``edge.mod`` feed ``edge.dest``: register the
-        reverse index entry and grow the upstream summaries by whatever
-        ``dest`` reaches that ``mod`` did not already.  When ``dest``'s
-        own summary is invalid its reach is unknown, so ``mod``'s cone
-        is invalidated instead (the recompute will see this edge).
-        """
-        m = edge.mod
-        d = edge.dest
-        if d is None:
-            if m.fsum_valid and not m.fsum & UNIV:
-                self._grow_upstream(m, UNIV)
-                # A queued dirty dest upstream of m just gained UNIV; keep
-                # the dirty-roots union a superset until reconciliation.
-                self._dirty_roots |= UNIV
-            return
-        ie = d.in_edges
-        if ie is None:
-            d.in_edges = {edge}
-        else:
-            ie.add(edge)
-        if d.fsum_valid:
-            if m.fsum_valid:
-                add = d.fsum & ~m.fsum
-                if add:
-                    self._grow_upstream(m, add)
-                    # Every upstream dest's summary grew by a subset of
-                    # ``add``: OR it in so _dirty_roots stays a superset
-                    # of every queued dirty dest's summary mid-rewiring.
-                    self._dirty_roots |= add
-            else:
-                # m invalid: everything upstream is invalid too
-                # (invalid-closed-upstream), so the recompute covers this
-                # edge -- but the growth it will reveal is invisible to
-                # the dirty-roots union now.
-                self._dirty_roots_exact = False
-        else:
-            # d's reach is unknown, so any growth through this edge is
-            # unknowable until recomputation.
-            self._dirty_roots_exact = False
-            if m.fsum_valid:
-                self._invalidate_upstream(m)
-
-    def _note_edge_death(self, edge: ReadEdge) -> None:
-        """Summary maintenance for an edge about to be discarded.
-
-        Must run before the edge's ``mod``/``dest`` fields are cleared.
-        Removing a ``mod -> dest`` flow can only shrink upstream
-        summaries, so they are invalidated (lazily recomputed on next
-        query).  Skipped when the edge provably contributed nothing:
-        ``mod`` already invalid (upstream already invalid) or reaching
-        nothing, or a valid ``dest`` reaching nothing -- which keeps
-        initial-run splicing free of summary churn before any root
-        exists.
-
-        During a demand drain the invalidation is *deferred* to drain
-        exit: relevance must be monotone non-shrinking within one drain.
-        A re-execution can splice out the very edges that connected an
-        as-yet-unpopped dirty entry to the demanded cone (the retry round
-        will rebuild them); shrinking its verdict mid-drain would defer
-        the entry past later relevant re-executions, and their readers
-        would then consume values the entry was supposed to refresh
-        first.  The retired DFS got this monotonicity for free from its
-        never-retracted positive memo; the summaries get it by letting
-        bits only grow until the drain is over.
-        """
-        d = edge.dest
-        if d is not None:
-            ie = d.in_edges
-            if ie is not None:
-                ie.discard(edge)
-        m = edge.mod
-        if m is not None and m.fsum_valid and m.fsum:
-            if d is None or not d.fsum_valid or d.fsum:
-                if self._drain_mask is not None:
-                    self._deferred_deaths.append(m)
-                else:
-                    self._invalidate_upstream(m)
-
-    def _grow_upstream(self, mod: Modifiable, add: int) -> None:
-        """OR ``add`` into ``mod``'s summary and its valid upstream cone.
-
-        Monotone: stops where the bits are already present (or at invalid
-        nodes, whose summaries will be recomputed from scratch anyway and
-        whose upstream is invalid too).  Because a demand root's bits only
-        shrink through invalidation, growth never needs to revisit.
-        """
-        meter = self.meter
-        stack = [(mod, add)]
-        pop = stack.pop
-        while stack:
-            u, b = pop()
-            if not u.fsum_valid:
-                continue
-            nb = b & ~u.fsum
-            if not nb:
-                continue
-            u.fsum |= nb
-            meter.feeds_updates += 1
-            ie = u.in_edges
-            if ie:
-                for e in ie:
-                    if not e.dead and e.mod is not None:
-                        stack.append((e.mod, nb))
-
-    def _invalidate_upstream(self, mod: Modifiable) -> None:
-        """Invalidate ``mod``'s summary and everything feeding it.
-
-        Stop-at-invalid keeps this amortized: a node is invalidated at
-        most once per revalidation, and the invariant that invalid nodes
-        have invalid upstream makes the early stop sound.
-        """
-        meter = self.meter
-        stack = [mod]
-        pop = stack.pop
-        while stack:
-            u = pop()
-            if not u.fsum_valid:
-                continue
-            u.fsum_valid = False
-            meter.feeds_updates += 1
-            ie = u.in_edges
-            if ie:
-                for e in ie:
-                    if not e.dead and e.mod is not None:
-                        stack.append(e.mod)
-
-    def _bits(self, mod: Modifiable) -> int:
-        """Current summary bitset of ``mod``, recomputing if invalid."""
-        if mod.fsum_valid:
-            self.meter.feeds_hits += 1
-            return mod.fsum
-        self._recompute_region(mod)
-        return mod.fsum
-
-    def _recompute_region(self, start: Modifiable) -> None:
-        """Revalidate the invalid region reachable downstream of ``start``.
-
-        By invalid-closed-upstream, every path from ``start`` to another
-        invalid node runs through invalid nodes only, so the region is
-        discovered by following reader edges and stopping at valid nodes
-        (the *frontier*, whose summaries are trusted as-is).  Each region
-        node is seeded with its own root bit plus UNIV for ``dest=None``
-        edges plus the frontier contributions, then an OR-fixpoint closes
-        the region -- exact even on the cyclic stale structure that
-        ``keyed_mod`` identity recycling can create.
-        """
-        region: List[Modifiable] = []
-        seen = set()
-        stack = [start]
-        pop = stack.pop
-        while stack:
-            n = pop()
-            i = id(n)
-            if i in seen or n.fsum_valid:
-                continue
-            seen.add(i)
-            region.append(n)
-            for e in n.readers:
-                if not e.dead:
-                    d = e.dest
-                    if d is not None and not d.fsum_valid and id(d) not in seen:
-                        stack.append(d)
-        for n in region:
-            b = n.root_bit
-            for e in n.readers:
-                if e.dead:
-                    continue
-                d = e.dest
-                if d is None:
-                    b |= UNIV
-                elif d.fsum_valid:
-                    b |= d.fsum
-            n.fsum = b
-        changed = True
-        while changed:
-            changed = False
-            # Discovery pushed downstream nodes later, so sweeping the
-            # region in reverse moves bits a whole chain per pass instead
-            # of one hop (deep chains would otherwise cost O(n^2)).
-            for n in reversed(region):
-                b = n.fsum
-                for e in n.readers:
-                    if e.dead:
-                        continue
-                    d = e.dest
-                    if d is not None and not d.fsum_valid:
-                        b |= d.fsum
-                if b != n.fsum:
-                    n.fsum = b
-                    changed = True
-        for n in region:
-            n.fsum_valid = True
-        self.meter.feeds_recomputes += len(region)
-
-    def _register_root(self, t: Modifiable) -> None:
-        """Make ``t`` a demand root: assign its bit and seed it upstream.
-
-        The fresh bit is stamped into every *valid* summary upstream of
-        ``t`` (stop-at-marked: the bit is new, so "already present" means
-        "already visited").  Invalid nodes are skipped -- their upstream
-        is invalid too, and recomputation derives the bit from
-        ``t.root_bit`` directly.
-        """
-        bit = self._next_root_bit
-        self._next_root_bit = bit << 1
-        t.root_bit = bit
-        meter = self.meter
-        meter.feeds_roots += 1
-        stack = [t]
-        pop = stack.pop
-        while stack:
-            n = pop()
-            if not n.fsum_valid or n.fsum & bit:
-                continue
-            n.fsum |= bit
-            meter.feeds_updates += 1
-            ie = n.in_edges
-            if ie:
-                for e in ie:
-                    if not e.dead and e.mod is not None:
-                        stack.append(e.mod)
-
-    def _reconcile_dirty_roots(self) -> int:
-        """Recompute ``_dirty_roots`` exactly from the live dirty queue.
-
-        Runs at every drain exit (including budget/deadline/hazard exits):
-        mid-drain rewiring keeps the incremental union a sound
-        over-approximation, and this O(queue) scan restores exactness so
-        the demand fast path and targeted suspect clearing can trust it.
-        Returns the number of live dirty entries.
-        """
-        bits = 0
-        ndirty = 0
-        for _key, _seq, edge in self.queue:
-            if edge.dead or not edge.dirty:
-                continue
-            ndirty += 1
-            d = edge.dest
-            bits |= UNIV if d is None else self._bits(d)
-        self._dirty_roots = bits
-        self._dirty_roots_exact = True
-        return ndirty
-
-    def _suspectish(self, mod: Modifiable) -> bool:
-        """Whether ``mod`` may be stale (summary impl).
-
-        The raw ``suspect`` flag is a sound over-approximation for
-        unregistered modifiables, but a registered root's flag can be
-        stale-False: a later edit's suspect-marking walk stops at
-        still-flagged nodes, so a cleared root below them is not
-        re-flagged.  ``_dirty_roots`` is authoritative for registered
-        roots, so OR it in.
-        """
-        if mod.suspect:
-            return True
-        rb = mod.root_bit
-        if not rb:
-            return False
-        if not self._dirty_roots_exact:
-            # The union may be missing bits; do not trust a miss.
-            return True
-        return bool(self._dirty_roots & (rb | UNIV))
-
-    def _dest_relevant(self, dest: Optional[Modifiable], feeds: dict) -> bool:
-        """Summary-impl relevance: does ``dest`` feed a demanded target?
-
-        O(1) amortized: a bitmask test against the drained targets' root
-        bits (``_drain_mask``).  The overlay ``feeds`` dict holds the
-        drain's *widened* positives (hazard unwinds, pre-scan widening);
-        when non-empty, the legacy DFS runs over it so widening semantics
-        are unchanged -- its verdict generations and round restarts
-        operate on the overlay exactly as under ``feeds="dfs"``.
-        """
-        if dest is None:
-            return True
-        verdict = bool(self._bits(dest) & self._drain_mask)
-        if not verdict and feeds:
-            verdict = self._feeds(dest, feeds)
-        if self.feeds_oracle:
-            self._oracle_check(dest)
-        return verdict
-
-    def _reference_bits(self, start: Modifiable) -> int:
-        """Exact summary recomputed from scratch (oracle only)."""
-        b = start.root_bit
-        seen = {id(start)}
-        stack = [start]
-        pop = stack.pop
-        while stack:
-            n = pop()
-            for e in n.readers:
-                if e.dead:
-                    continue
-                d = e.dest
-                if d is None:
-                    b |= UNIV
-                elif id(d) not in seen:
-                    seen.add(id(d))
-                    b |= d.root_bit
-                    stack.append(d)
-        return b
-
-    def _oracle_check(self, mod: Modifiable) -> None:
-        """Assert ``mod``'s maintained summary matches the exact one.
-
-        Mid-drain, edge-death invalidations are deferred for relevance
-        monotonicity, so the maintained bits are allowed to be a superset
-        of the exact reachability; at rest they must be equal.
-        """
-        got = self._bits(mod)
-        ref = self._reference_bits(mod)
-        if got != ref and (
-            self._drain_mask is None or (got | ref) != got
-        ):
-            raise FeedsOracleError(
-                f"maintained feeds summary diverged on {mod!r}: "
-                f"maintained {got:#x}, exact {ref:#x} "
-                f"(roots registered: {self.meter.feeds_roots})"
-            )
-
-    def _oracle_check_clean(self, t: Modifiable) -> None:
-        """Assert the O(1) "provably clean" fast-path verdict for root ``t``:
-        no live dirty queue entry's destination actually reaches it."""
-        mask = t.root_bit | UNIV
-        for _key, _seq, edge in self.queue:
-            if edge.dead or not edge.dirty:
-                continue
-            d = edge.dest
-            if d is None or self._reference_bits(d) & mask:
-                raise FeedsOracleError(
-                    f"demand fast path judged {t!r} clean, but dirty "
-                    f"entry {edge!r} reaches it (dirty_roots "
-                    f"{self._dirty_roots:#x}, root bit {t.root_bit:#x})"
-                )
-
-    # ------------------------------------------------------------------
     # Memoization
 
     def memo(self, key: Hashable, thunk: Callable[[], Any]) -> Any:
@@ -1137,12 +708,7 @@ class Engine:
             # so the feeders run first.  The depth count is the backstop
             # for a reader that slipped past the refusal and is chasing a
             # loop anyway.
-            if self._drain_mask is not None:
-                if self._suspectish(mod) and not self._dest_relevant(
-                    mod, drain_feeds
-                ):
-                    raise _DemandStaleRead(mod)
-            elif mod.suspect and not self._feeds(mod, drain_feeds):
+            if mod.suspect and not self._feeds(mod, drain_feeds):
                 raise _DemandStaleRead(mod)
             if self._demand_reads.get(id(mod), 0) >= self.CYCLE_READ_DEPTH:
                 raise _DemandStaleRead(mod)
@@ -1163,9 +729,7 @@ class Engine:
         else:
             edge = ReadEdge(mod, reader, start, dest)
         start.owner = edge
-        mod.readers.add(edge)
-        if self._feeds_summary:
-            self._note_new_edge(edge)
+        mod.readers[edge] = None
         meter = self.meter
         meter.reads_executed += 1
         meter.live_edges += 1
@@ -1342,10 +906,8 @@ class Engine:
         if self.hook is not None:
             self.hook.on_memo_miss(key)
         # Eager engines only: on lazy ones keyed allocation changes which
-        # trace a demand re-executes, and that hides -- without fixing --
-        # the stale-demand defect of the summary relevance filter, which
-        # ``perfbench/test_canary.py`` pins as an expected failure.
-        # Replacing that filter lifts this condition.
+        # trace a demand re-executes, and lifting that needs its own lazy
+        # differential evidence.
         akey = None if alloc_key is None or self.lazy else alloc_key(frame)
         if akey is not None:
             site = self.alloc_table.get(akey)
@@ -1527,21 +1089,12 @@ class Engine:
             hook.on_propagate_begin(len(self.queue))
         try:
             reexecuted = self._drain(budget, deadline, False, None)
-        except BaseException:
-            # Mid-drain rewiring can outgrow the incremental dirty-roots
-            # union; restore exactness before handing control back with
-            # work still queued.
-            if self._feeds_summary:
-                self._reconcile_dirty_roots()
-            raise
         finally:
             self.propagating = False
         # A complete pass leaves the outputs consistent with all inputs:
         # this is the new last-good state, so the rollback journal resets
         # and (in lazy mode) every suspect bit clears.
         self._edit_log = []
-        self._dirty_roots = 0
-        self._dirty_roots_exact = True
         if self._suspect_mods:
             for d in self._suspect_mods:
                 d.suspect = False
@@ -1616,37 +1169,7 @@ class Engine:
                 return targets[0].value
             return [t.value for t in targets]
         hook = self.hook
-        if self._feeds_summary:
-            if not self._dirty_roots_exact:
-                # Rewiring outside a drain (e.g. keyed_mod recycling in a
-                # fresh run) can leave the union inexact; the fast path
-                # below needs exactness.
-                self._reconcile_dirty_roots()
-            suspect = []
-            dr = self._dirty_roots
-            for t in targets:
-                rb = t.root_bit
-                if rb:
-                    # Registered root: the maintained dirty-roots union is
-                    # authoritative -- O(1), exact at rest -- where the raw
-                    # flag can linger True (sibling cones) or go
-                    # stale-False (cleared root below a still-flagged
-                    # node stops a later marking walk early).
-                    if dr & (rb | UNIV):
-                        if not t.suspect:
-                            t.suspect = True
-                            self._suspect_mods.add(t)
-                        suspect.append(t)
-                    else:
-                        if self.feeds_oracle:
-                            self._oracle_check_clean(t)
-                        if t.suspect:
-                            t.suspect = False
-                            self._suspect_mods.discard(t)
-                elif t.suspect:
-                    suspect.append(t)
-        else:
-            suspect = [t for t in targets if t.suspect]
+        suspect = [t for t in targets if t.suspect]
         meter.demands_clean += len(targets) - len(suspect)
         if not suspect:
             if hook is not None:
@@ -1661,34 +1184,11 @@ class Engine:
             for t in targets:
                 hook.on_demand_begin(t, len(self.queue))
         started = None if deadline is None else time.monotonic()
-        if self._feeds_summary:
-            # Relevance is the drained targets' root bits (| UNIV) tested
-            # against maintained summaries; ``feeds`` starts empty and
-            # only ever holds widened positives (hazards, pre-scans).
-            fresh = [t for t in suspect if not t.root_bit]
-            for t in fresh:
-                self._register_root(t)
-            if fresh:
-                # Queued dirty dests may now carry the new bits.
-                self._reconcile_dirty_roots()
-            mask = UNIV
-            for t in suspect:
-                mask |= t.root_bit
-            self._drain_mask = mask
-            feeds: dict = {}
-        else:
-            # Every target seeds the relevance memo positively, so the
-            # drain's _feeds checks treat "reaches any target" as relevant.
-            feeds = {t: True for t in targets}
+        # Every target seeds the relevance memo positively, so the drain's
+        # _feeds checks treat "reaches any target" as relevant.
+        feeds = {t: True for t in targets}
         try:
             reexecuted = self._drain(budget, deadline, True, feeds)
-        except BaseException:
-            # Budget/deadline/hazard exits leave work queued; restore the
-            # exact dirty-roots union before handing back (the stash was
-            # merged back by _drain's finally).
-            if self._feeds_summary:
-                self._reconcile_dirty_roots()
-            raise
         finally:
             self.propagating = False
         if self._demand_degrade:
@@ -1705,29 +1205,9 @@ class Engine:
             reexecuted += self.propagate(budget=left_b, deadline=left_d)
         # Suspicion cannot be cleared from the relevance verdicts: a mod
         # can feed the target *and* retain a second, deferred dirty
-        # feeder.  The summary impl reconciles the dirty-roots union and
-        # clears exactly what it proves clean (every drained target whose
-        # root bit no pending work reaches; everything, when nothing is
-        # dirty); raw flags elsewhere stay as a sound over-approximation
-        # that later root-bit checks refine.  The dfs impl recomputes the
-        # suspect set exactly from what is still queued, as before.
-        if self._feeds_summary:
-            ndirty = self._reconcile_dirty_roots()
-            if ndirty == 0:
-                if self._suspect_mods:
-                    for d in self._suspect_mods:
-                        d.suspect = False
-                    self._suspect_mods.clear()
-            else:
-                dr = self._dirty_roots
-                if not dr & UNIV:
-                    for t in suspect:
-                        rb = t.root_bit
-                        if rb and not dr & rb and t.suspect:
-                            t.suspect = False
-                            self._suspect_mods.discard(t)
-        else:
-            self._refresh_suspects()
+        # feeder.  Recompute the suspect set exactly from what is still
+        # queued.
+        self._refresh_suspects()
         if not self.queue:
             # Nothing dirty anywhere, so this demand was in fact a
             # complete pass: the new last-good state, and the rollback
@@ -1775,7 +1255,6 @@ class Engine:
         reexecuted = 0
         prev_round = 0
         hazards = 0
-        summary = self._drain_mask is not None
         stash: List[Tuple[int, int, ReadEdge]] = []
         if demanding:
             self._drain_feeds = feeds
@@ -1813,11 +1292,7 @@ class Engine:
                         edge.end = None
                         self._edge_pool.append(edge)
                     continue
-                if demanding and not (
-                    self._dest_relevant(edge.dest, feeds)
-                    if summary
-                    else self._feeds(edge.dest, feeds)
-                ):
+                if demanding and not self._feeds(edge.dest, feeds):
                     # Dirty but not feeding the demanded output: set the
                     # entry aside, still dirty, still suspect upstream.
                     stash.append((entry_key, entry_seq, edge))
@@ -1867,19 +1342,8 @@ class Engine:
                             and not owner.dead
                             and owner.mod is not None
                             and feeds.get(owner.mod) is not True
-                            and (
-                                (
-                                    self._suspectish(owner.mod)
-                                    and not self._dest_relevant(
-                                        owner.mod, feeds
-                                    )
-                                )
-                                if summary
-                                else (
-                                    owner.mod.suspect
-                                    and not self._feeds(owner.mod, feeds)
-                                )
-                            )
+                            and owner.mod.suspect
+                            and not self._feeds(owner.mod, feeds)
                         ):
                             feeds[owner.mod] = True
                             widened = True
@@ -1947,11 +1411,7 @@ class Engine:
                                 type(owner) is ReadEdge
                                 and not owner.dead
                                 and owner.mod is not None
-                                and (
-                                    self._suspectish(owner.mod)
-                                    if summary
-                                    else owner.mod.suspect
-                                )
+                                and owner.mod.suspect
                             ):
                                 feeds[owner.mod] = True
                             node = node.next
@@ -1978,16 +1438,7 @@ class Engine:
         finally:
             if demanding:
                 self._drain_feeds = None
-                self._drain_mask = None
                 self._demand_reads = {}
-                if self._deferred_deaths:
-                    # Apply the edge deaths withheld for drain-local
-                    # monotonicity; summaries shrink back to exact before
-                    # anything outside the drain trusts them.
-                    for m in self._deferred_deaths:
-                        if m.fsum_valid and m.fsum:
-                            self._invalidate_upstream(m)
-                    self._deferred_deaths.clear()
             if stash:
                 self._restash(stash)
         return reexecuted
@@ -2105,14 +1556,6 @@ class Engine:
             if not edge.dead and not edge.dirty:
                 edge.dirty = True
                 self._enqueue(edge)
-                if self._feeds_summary:
-                    # Cleanup path: no recomputation here (it must not
-                    # raise).  A conservative UNIV for an invalid summary
-                    # is sound; the next drain exit reconciles exactly.
-                    d = edge.dest
-                    self._dirty_roots |= (
-                        UNIV if d is None or not d.fsum_valid else d.fsum
-                    )
             return True
         except BaseException as cleanup_exc:
             self.poison(
@@ -2262,9 +1705,9 @@ class Engine:
     def hot_stats(self) -> dict:
         """Hot-path data-structure statistics (profiling harness surface).
 
-        Groups the order-maintenance, dirty-queue, and free-list counters
-        that ``python -m repro profile`` reports next to the per-phase
-        meter numbers.
+        Groups the order-maintenance, dirty-queue, free-list and lazy
+        demand counters that ``python -m repro profile`` reports next to
+        the per-phase meter numbers.
         """
         meter = self.meter
         return {
@@ -2282,17 +1725,12 @@ class Engine:
                 "memo_entries_reused": self.memo_entries_reused,
                 "memo_entries_pooled": len(self._memo_pool),
             },
-            "feeds": {
-                "impl": self.feeds_impl if self.lazy else "n/a",
-                "roots": meter.feeds_roots,
-                "dirty_root_bits": bin(self._dirty_roots).count("1"),
-                "hits": meter.feeds_hits,
-                "updates": meter.feeds_updates,
-                "recomputes": meter.feeds_recomputes,
+            "demand": {
                 "demands": meter.demands,
                 "demands_clean": meter.demands_clean,
                 "deferred": meter.demand_deferred,
                 "hazards": meter.demand_hazards,
+                "dfs_visits": meter.feeds_dfs_visits,
             },
         }
 
@@ -2328,13 +1766,10 @@ class Engine:
         memo_cap = self.MEMO_POOL_CAP
         memo_table = self.memo_table
         alloc_table = self.alloc_table
-        feeds_summary = self._feeds_summary
         for owner in owners:
             if type(owner) is ReadEdge:
                 owner.dead = True
-                if feeds_summary:
-                    self._note_edge_death(owner)
-                owner.mod.readers.discard(owner)
+                owner.mod.readers.pop(owner, None)
                 owner.mod = None
                 owner.reader = None
                 owner.dest = None

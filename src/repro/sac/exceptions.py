@@ -123,18 +123,3 @@ class PropagationBudgetExceeded(SacError):
         super().__init__(message)
         self.reexecuted = reexecuted
         self.pending = pending
-
-
-class FeedsOracleError(SacError):
-    """The maintained reverse-reachability summaries diverged from the
-    exact recomputed reachability (lazy mode debug oracle).
-
-    Raised only when the differential oracle is enabled
-    (``Engine(feeds_oracle=True)`` or ``REPRO_FEEDS_ORACLE=1``): every
-    relevance verdict then recomputes the demanded-root reachability of
-    the queried modifiable from scratch and compares it against the
-    incrementally maintained summary bitset.  A mismatch means summary
-    maintenance missed a reader-graph change -- an engine bug, never a
-    user error.
-    """
-

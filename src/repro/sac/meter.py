@@ -60,25 +60,10 @@ class Meter:
     suspect_marks: int = 0
     demand_deferred: int = 0
     demand_hazards: int = 0
-    #: maintained reverse-reachability summaries (lazy ``feeds="summary"``
-    #: engines): relevance queries answered from a valid summary in O(1)
-    #: (``feeds_hits``), summary cells written by incremental maintenance —
-    #: growth on new edges plus invalidations on edge death
-    #: (``feeds_updates``), summary cells rebuilt by region recomputation
-    #: on first query after invalidation (``feeds_recomputes``), and demand
-    #: roots registered (``feeds_roots``).  All four stay zero on eager
-    #: engines and on the retired ``feeds="dfs"`` baseline, so existing
-    #: meter pins are unaffected.
-    feeds_hits: int = 0
-    feeds_updates: int = 0
-    feeds_recomputes: int = 0
-    feeds_roots: int = 0
-    #: reader-graph nodes explored by the legacy ``feeds="dfs"`` relevance
-    #: walk (one increment per DFS frame pushed).  The summary impl
-    #: answers the same queries with one bitmask test each, so this
-    #: counter against ``feeds_hits`` is the deterministic measure of the
-    #: filtering work the maintained summaries avoid -- it is what the
-    #: repeated-demand benchmark gates on, immune to machine noise.
+    #: reader-graph nodes explored by the lazy relevance walk
+    #: (``Engine._feeds``, one increment per DFS frame pushed): the
+    #: deterministic measure of demand's filtering work.  Zero on eager
+    #: engines.
     feeds_dfs_visits: int = 0
     live_edges: int = 0
     live_memo_entries: int = 0

@@ -8,7 +8,7 @@ re-executes exactly the reads that observed stale values.
 
 from __future__ import annotations
 
-from typing import Any, Set
+from typing import Any, Dict
 
 
 class _Unwritten:
@@ -28,47 +28,25 @@ class Modifiable:
 
     Attributes:
         value: current contents (or :data:`UNWRITTEN`).
-        readers: set of live :class:`repro.sac.trace.ReadEdge` objects that
-            observed this modifiable.
+        readers: the live :class:`repro.sac.trace.ReadEdge` objects that
+            observed this modifiable, as dict keys (values ``None``): an
+            insertion-ordered set, so every walk over readers -- and the
+            relevance walk's visit count -- is deterministic.
         suspect: lazy-mode dirty bit.  Under ``Engine(mode="lazy")`` an
             edit marks every modifiable whose value *may* now be stale --
             the edited one's readers' destinations, transitively -- and
-            :meth:`repro.sac.engine.Engine.demand` clears the bit once the
-            demanded cone is clean again.  A modifiable with a clear bit
-            can be served without any propagation work.  Eager engines
-            never set it.
-        fsum: reverse-reachability summary (lazy ``feeds="summary"`` mode
-            only): an int bitset of the demand roots this modifiable's
-            value can flow into through live reader edges.  Bit 0 is the
-            conservative "feeds everything" bit set when a ``dest=None``
-            edge is reachable; each registered demand root owns one higher
-            bit.  Maintained incrementally as edges appear and die; only
-            meaningful while ``fsum_valid`` is True.
-        fsum_valid: whether ``fsum`` is current.  Invalidation propagates
-            *upstream* (toward inputs) with stop-at-invalid, so the engine
-            keeps the invariant that everything feeding an invalid node is
-            itself invalid; revalidation recomputes whole invalid regions
-            on first query.
-        root_bit: the single bit owned by this modifiable once it has been
-            registered as a demand root (0 = never demanded).  Because the
-            bit is unique, ``other.fsum & root_bit`` decides "does *other*
-            feed this root" in O(1).
-        in_edges: lazily allocated reverse index — the set of live
-            :class:`~repro.sac.trace.ReadEdge` objects whose ``dest`` is
-            this modifiable (i.e. the edges whose owners feed it).  ``None``
-            until first use; eager engines never allocate it.
+            :meth:`repro.sac.engine.Engine.demand` recomputes the suspect
+            set from the dirty reads still queued once its drain ends.  A
+            modifiable with a clear bit can be served without any
+            propagation work.  Eager engines never set it.
     """
 
-    __slots__ = ("value", "readers", "suspect", "fsum", "fsum_valid", "root_bit", "in_edges")
+    __slots__ = ("value", "readers", "suspect")
 
     def __init__(self, value: Any = UNWRITTEN) -> None:
         self.value = value
-        self.readers: Set[Any] = set()
+        self.readers: Dict[Any, None] = {}
         self.suspect = False
-        self.fsum = 0
-        self.fsum_valid = True
-        self.root_bit = 0
-        self.in_edges = None
 
     @property
     def written(self) -> bool:

@@ -83,11 +83,7 @@ class ReadEdge:
         references them).
         """
         self.dead = True
-        if engine._feeds_summary:
-            # Reverse-reachability maintenance must see mod/dest before
-            # they are cleared (mirrors the inlined _delete_range path).
-            engine._note_edge_death(self)
-        self.mod.readers.discard(self)
+        self.mod.readers.pop(self, None)
         self.mod = None
         self.reader = None
         self.dest = None

@@ -223,21 +223,15 @@ class PooledDoc:
         }
 
     def _demand_stats(self) -> dict:
-        """Lazy-relevance counters for stats frames: how much work demand
-        skipped (deferrals, clean hits) and how the maintained feeds
-        summaries are performing (hits vs recomputes)."""
-        engine = self.session.engine
-        meter = engine.meter
+        """Lazy-demand counters for stats frames: how much work demand
+        skipped (deferrals, clean hits) and how often it unwound a stale
+        read (hazards)."""
+        meter = self.session.engine.meter
         return {
-            "impl": engine.feeds_impl if engine.lazy else "n/a",
             "demands": meter.demands,
             "demands_clean": meter.demands_clean,
             "deferred": meter.demand_deferred,
             "hazards": meter.demand_hazards,
-            "feeds_roots": meter.feeds_roots,
-            "feeds_hits": meter.feeds_hits,
-            "feeds_updates": meter.feeds_updates,
-            "feeds_recomputes": meter.feeds_recomputes,
         }
 
 

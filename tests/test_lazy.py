@@ -17,7 +17,10 @@ is threefold, and each part gets its own section here:
 3. **Regression**: the suspect-clearing bug class -- a mod that both
    feeds the demanded target and retains a second, deferred dirty feeder
    must stay suspect, or a later demand fast-paths a stale value.  Pinned
-   at the exact msort scenario that exposed it and at unit scale.
+   at the exact msort scenarios that exposed it and at unit scale.
+
+Multi-target demand, lazy batches, and recovery and snapshots taken
+mid-laziness follow in their own sections.
 """
 
 import random
@@ -295,6 +298,29 @@ def test_sibling_cone_stays_suspect_after_partial_demand():
     check_trace(session.engine)
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_whole_output_demand_after_head_gets_is_current(backend):
+    """Regression (exact scenario): msort, 16 elements from data seed 5,
+    fifteen edits each followed by a head-only ``get`` of the output,
+    then a sixteenth edit and a whole-output ``demand``.  A relevance
+    filter that cleared a demanded root's suspect bit while deferred
+    work still reached it left the tail cells stale here, so the deep
+    walk fast-pathed them and ``readback`` served an old order."""
+    app = REGISTRY["msort"]
+    seed = 5
+    session = Session(app, backend=backend, mode="lazy")
+    session.run(data=app.make_data(16, random.Random(seed)))
+    rng = random.Random(seed * 7919 + 1)
+    for step in range(15):
+        app.apply_change(session.input_handle, rng, step)
+        session.get(session.output)
+    app.apply_change(session.input_handle, rng, 15)
+    session.demand()
+    got = app.readback(session.output)
+    assert got == app.reference(app.handle_data(session.input_handle))
+    check_trace(session.engine)
+
+
 def test_mod_feeding_target_with_second_dirty_feeder_stays_suspect():
     """Unit-scale pin of the same class: ``top`` reads both ``left`` and
     ``right``.  Demand ``left`` (relevant cone only); ``top`` feeds
@@ -382,6 +408,74 @@ def test_budget_interrupted_demand_keeps_suspicion_and_resumes():
     assert engine.demand(top) == 110  # resumes and completes
     assert not top.suspect
     check_trace(engine, expect_empty_queue=True)
+
+
+def test_budget_interrupted_burst_demand_resumes_to_eager():
+    """Session scale: interrupt an msort burst demand on a tiny budget,
+    then finish it; the output must match the eager twin."""
+    app = REGISTRY["msort"]
+    rng_e, rng_l = random.Random(17), random.Random(17)
+    eager = Session(app)
+    lazy = Session(app, mode="lazy")
+    out_e = eager.run(data=app.make_data(64, rng_e))
+    out_l = lazy.run(data=app.make_data(64, rng_l))
+    for step in range(12):
+        app.apply_change(eager.input_handle, rng_e, step)
+        eager.propagate()
+        app.apply_change(lazy.input_handle, rng_l, step)
+    with pytest.raises(PropagationBudgetExceeded):
+        lazy.demand(budget=3)
+    lazy.demand()
+    assert values_close(app.readback(out_e), app.readback(out_l))
+    check_trace(lazy.engine)
+
+
+def test_rewired_away_feeder_costs_no_demand_work():
+    """A conditional that stops reading ``a`` kills a's reader edge, so a
+    later edit of ``a`` no longer reaches the demanded cell: the demand
+    is served with zero re-executions."""
+    engine = Engine(mode="lazy")
+    flag = engine.make_input(True)
+    a, b = engine.make_input(10), engine.make_input(20)
+
+    def comp(dest):
+        def on_flag(f):
+            src = a if f else b
+            engine.read(src, lambda v: engine.write(dest, v))
+
+        engine.read(flag, on_flag)
+
+    y = engine.mod(comp)
+    assert engine.demand(y) == 10
+    engine.change(flag, False)
+    assert engine.demand(y) == 20
+    engine.change(a, 11)
+    before = engine.meter.edges_reexecuted
+    assert engine.demand(y) == 20
+    assert engine.meter.edges_reexecuted == before
+    check_trace(engine)
+
+
+def test_none_dest_edge_is_relevant_to_every_demand():
+    """A read with no recorded destination (re-executed with an empty
+    destination stack) may feed anything, so a demand of an unrelated
+    cell still drains it."""
+    engine = Engine(mode="lazy")
+    x = engine.make_input(1)
+    seen = []
+    engine._reexec_depth += 1  # the state in which None-dest reads occur
+    try:
+        engine.read(x, seen.append)
+    finally:
+        engine._reexec_depth -= 1
+    calls = {}
+    x2 = engine.make_input(2)
+    y = _cone(engine, x2, "y", calls)
+    engine.change(x, 9)
+    engine.change(x2, 3)
+    assert engine.demand(y) == 30
+    assert seen == [1, 9]
+    check_trace(engine)
 
 
 def test_imperative_write_degrades_demand_to_propagate():
@@ -647,3 +741,65 @@ def test_verify_app_lazy_batched():
     for name in ("map", "msort", "vec-reduce"):
         n, changes = APP_SIZES[name]
         verify_app(name, n, changes, mode="lazy", batch=3)
+
+
+# ----------------------------------------------------------------------
+# 5. Recovery and persistence mid-laziness
+
+
+@pytest.mark.parametrize("on_error", ["rollback", "rebuild"])
+def test_faulted_burst_demand_recovers_to_from_scratch(on_error):
+    """A reader that faults once inside a burst demand goes through the
+    recovery path; the follow-up demand must match a from-scratch run."""
+    app = REGISTRY["msort"]
+    rng = random.Random(41)
+    session = Session(app, mode="lazy")
+    session.run(data=app.make_data(32, rng))
+    for step in range(6):
+        app.apply_change(session.input_handle, rng, step)
+
+    real_write = session.engine.write
+    hits = {"n": 0}
+
+    def flaky_write(dest, value):
+        hits["n"] += 1
+        if hits["n"] == 3:  # exactly once, so recovery itself succeeds
+            raise ValueError("flaky reader")
+        return real_write(dest, value)
+
+    session.engine.write = flaky_write
+    stats = session.demand(on_error=on_error)
+    session.engine.write = real_write
+    assert stats.path == on_error
+    session.demand()
+    # session.output, not a pre-recovery reference: rebuild swaps in a
+    # fresh engine and output value.
+    expected = app.reference(app.handle_data(session.input_handle))
+    assert app.readback(session.output) == expected
+    check_trace(session.engine)
+
+
+def test_snapshot_after_partial_laziness_restores_and_demands(tmp_path):
+    """Demand, stage more edits, snapshot, restore, demand both: the
+    restored session (a fresh run on the staged inputs) agrees with the
+    saved one and with the from-scratch oracle."""
+    app = REGISTRY["qsort"]
+    rng = random.Random(19)
+    session = Session(app, mode="lazy")
+    session.run(data=app.make_data(24, rng))
+    for step in range(4):
+        app.apply_change(session.input_handle, rng, step)
+    session.demand()
+    for step in range(4, 8):
+        app.apply_change(session.input_handle, rng, step)
+    path = str(tmp_path / "mid.snap")
+    session.snapshot(path)
+
+    restored = Session.restore(path)
+    assert restored.mode == "lazy"
+    restored.demand()
+    session.demand()
+    got = app.readback(restored.output)
+    assert values_close(app.readback(session.output), got)
+    assert values_close(got, app.reference(app.handle_data(restored.input_handle)))
+    check_trace(restored.engine)

@@ -144,7 +144,7 @@ def test_check_trace_clean_report():
 
 def test_check_trace_detects_unregistered_edge():
     engine, edge, _ = _two_read_engine()
-    edge.mod.readers.discard(edge)
+    edge.mod.readers.pop(edge)
     with pytest.raises(InvariantViolation, match="not registered"):
         check_trace(engine)
 
