@@ -45,8 +45,9 @@ from __future__ import annotations
 import math
 import random
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, ContextManager, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.backends import BACKENDS, resolve_backend
 from repro.core.pipeline import CompiledProgram, compile_program
@@ -233,6 +234,9 @@ class Session:
         self._handle_seq = 0
         #: Optional write-ahead journal (see :meth:`enable_journal`).
         self._journal = None
+        #: The edits of the open journaled :meth:`batch` scope, which
+        #: become its one journal record; None outside such a scope.
+        self._record: Optional[List[Tuple[str, Any]]] = None
 
     # -- running --------------------------------------------------------
 
@@ -309,68 +313,82 @@ class Session:
         the new value compared equal and the edit cut off immediately.
 
         With a write-ahead journal enabled (:meth:`enable_journal`) the
-        edit is durably appended *before* this method returns -- callers
-        may acknowledge it to clients as soon as they see the result --
-        and the edit must address a named handle with a
-        JSON-representable value so recovery can replay it.
+        edit must address a named handle with a JSON-representable value
+        (else it is refused before it stages), and outside a :meth:`batch`
+        scope it is one record, durably appended *before* this method
+        returns -- callers may acknowledge it as soon as they see the
+        result.  A failed staging or append undoes the edit.
         """
-        if self._journal is not None:
-            # Resolve the journal name and serialize the record *before*
-            # staging: an edit that recovery could never replay (no named
-            # handle, non-JSON value) is refused with the engine
-            # untouched.
-            name = self._journal_name(mod)
-            target = self.resolve(mod)
-            record = self._journal.encode([(name, value)])
-            restore = target.value
-            try:
-                dirtied = self.engine.change(target, value)
-                self._journal.commit(record)
-            except BaseException:
-                # Staging or the durable write failed, possibly after the
-                # cell took the value: undo it, so the state the caller
-                # sees (and any later checkpoint) agrees with the failure
-                # they are told about.  Test the value, not ``dirtied``:
-                # an edit whose readers were all dirty already dirties
-                # nothing yet still changes the cell.  The re-dirtied
-                # reads cut off on equality at the next propagation.
-                if target.value is not restore:
-                    try:
-                        self.engine.change(target, restore)
-                    except Exception as undo_exc:
-                        # The journal failure stays the primary error.
-                        # The cell gets its old value back regardless, so
-                        # it agrees with the journal, but the trace may
-                        # have seen the refused one: the engine must not
-                        # be trusted, and only a rebuild (which reads the
-                        # cells afresh) serves from here.
-                        target.value = restore
-                        self.engine.poison(
-                            f"undoing the refused journaled edit of "
-                            f"{name!r} raised {undo_exc!r}"
-                        )
-                raise
-            return dirtied
-        return self.engine.change(self.resolve(mod), value)
+        journal = self._journal
+        if journal is None:
+            return self.engine.change(self.resolve(mod), value)
+        target = self.resolve(mod)
+        name = mod if isinstance(mod, str) else self._handle_names.get(id(mod))
+        if name is None:
+            from repro.persist import JournalError
+
+            raise JournalError(
+                "journaled sessions must edit through named handles "
+                "(bind one with Session.handle) so recovery can replay"
+            )
+        record = journal.encode([(name, value)])
+        mark = len(self.engine._edit_log)
+        try:
+            dirtied = self.engine.change(target, value)
+            if self._record is not None:  # joins the open scope's record
+                self._record.append((name, value))
+            else:
+                journal.commit(record)
+        except BaseException:
+            self.engine.undo_edits(mark, f"the refused journaled edit of {name!r}")
+            raise
+        return dirtied
 
     def batch(
         self,
         *,
         budget: Optional[int] = None,
         deadline: Optional[float] = None,
-    ) -> Batch:
+    ) -> ContextManager[Batch]:
         """Open a batched-edit scope; one propagation pass at exit.
 
         See :meth:`repro.sac.engine.Engine.batch`: edits inside the scope
         coalesce, and a read that observed several edited inputs
-        re-executes once instead of once per edit.
+        re-executes once instead of once per edit.  The scope yields the
+        engine's :class:`~repro.sac.engine.Batch`.
 
         Under ``mode="lazy"`` the scope stages its edits without a
         closing propagation -- the drain is deferred to the next
         :meth:`get` / :meth:`demand`, which still re-executes each
         affected read once for the whole batch.
+
+        On a journaled session the outermost scope is all-or-nothing: its
+        :meth:`edit` calls make one journal record, appended as the scope
+        closes, before its closing propagation.  If the body raises or
+        the append fails, every edit the scope staged is undone.  Without
+        a journal, a raising body leaves its edits staged (DESIGN.md §7).
         """
-        return self.engine.batch(budget=budget, deadline=deadline)
+        scope = self.engine.batch(budget=budget, deadline=deadline)
+        if self._journal is None or self._record is not None:
+            return scope
+        return self._journaled(scope)
+
+    @contextmanager
+    def _journaled(self, scope: Batch) -> Iterator[Batch]:
+        journal, engine = self._journal, self.engine
+        mark = len(engine._edit_log)
+        with scope:
+            self._record = record = []
+            try:
+                yield scope
+                if record:
+                    journal.commit(journal.encode(record))
+            except BaseException:
+                names = [name for name, _value in record]
+                engine.undo_edits(mark, f"the refused journaled batch of {names}")
+                raise
+            finally:
+                self._record = None
 
     def propagate(
         self,
@@ -414,35 +432,41 @@ class Session:
         except (ReexecutionError, EnginePoisonedError) as exc:
             if on_error == "raise":
                 raise
-            if on_error == "rollback":
-                if isinstance(exc, EnginePoisonedError) or not exc.consistent:
-                    raise  # nothing consistent left to roll back to
-                undone, recovery_reexecuted, restaged = self.engine.rollback()
-                self.propagations += 1
-                return PropagateStats(
-                    reexecuted=recovery_reexecuted,
-                    drained=meter.queue_drained - drained_before,
-                    seconds=time.perf_counter() - started,
-                    path="rollback",
-                    undone=undone,
-                    restaged=restaged,
-                    error=exc,
-                )
-            self.rebuild()
-            self.propagations += 1
-            return PropagateStats(
-                reexecuted=0,
-                drained=0,
+            stats = self._recover(exc, on_error, started, drained_before)
+        else:
+            stats = PropagateStats(
+                reexecuted=reexecuted,
+                drained=meter.queue_drained - drained_before,
                 seconds=time.perf_counter() - started,
-                path="rebuild",
+            )
+        self.propagations += 1
+        return stats
+
+    def _recover(
+        self, exc: Exception, on_error: str, started: float, drained_before: int
+    ) -> PropagateStats:
+        """Apply the ``"rollback"`` or ``"rebuild"`` policy to a failed
+        :meth:`propagate` or :meth:`demand` pass."""
+        if on_error == "rollback":
+            if isinstance(exc, EnginePoisonedError) or not exc.consistent:
+                raise exc  # nothing consistent left to roll back to
+            undone, reexecuted, restaged = self.engine.rollback()
+            return PropagateStats(
+                reexecuted=reexecuted,
+                drained=self.engine.meter.queue_drained - drained_before,
+                seconds=time.perf_counter() - started,
+                path="rollback",
+                undone=undone,
+                restaged=restaged,
                 error=exc,
             )
-        seconds = time.perf_counter() - started
-        self.propagations += 1
+        self.rebuild()
         return PropagateStats(
-            reexecuted=reexecuted,
-            drained=meter.queue_drained - drained_before,
-            seconds=seconds,
+            reexecuted=0,
+            drained=0,
+            seconds=time.perf_counter() - started,
+            path="rebuild",
+            error=exc,
         )
 
     def get(
@@ -524,38 +548,18 @@ class Session:
         except (ReexecutionError, EnginePoisonedError) as exc:
             if on_error == "raise":
                 raise
-            if on_error == "rollback":
-                if isinstance(exc, EnginePoisonedError) or not exc.consistent:
-                    raise
-                undone, recovery_reexecuted, restaged = self.engine.rollback()
-                self.demands += 1
-                return PropagateStats(
-                    reexecuted=recovery_reexecuted,
-                    drained=meter.queue_drained - drained_before,
-                    seconds=time.perf_counter() - started,
-                    path="rollback",
-                    undone=undone,
-                    restaged=restaged,
-                    error=exc,
-                )
-            self.rebuild()
-            self.demands += 1
-            return PropagateStats(
-                reexecuted=0,
-                drained=0,
+            stats = self._recover(exc, on_error, started, drained_before)
+        else:
+            stats = PropagateStats(
+                reexecuted=meter.edges_reexecuted - reexec_before,
+                drained=meter.queue_drained - drained_before,
                 seconds=time.perf_counter() - started,
-                path="rebuild",
-                error=exc,
+                path="demand",
+                demanded=meter.demands - demands_before,
+                skipped_clean=meter.demands_clean - clean_before,
             )
         self.demands += 1
-        return PropagateStats(
-            reexecuted=meter.edges_reexecuted - reexec_before,
-            drained=meter.queue_drained - drained_before,
-            seconds=time.perf_counter() - started,
-            path="demand",
-            demanded=meter.demands - demands_before,
-            skipped_clean=meter.demands_clean - clean_before,
-        )
+        return stats
 
     def _demand_value(
         self, value: Any, budget: Optional[int], deadline: Optional[float]
@@ -797,13 +801,14 @@ class Session:
     ):
         """Turn on the write-ahead edit journal at ``path``.
 
-        Every subsequent :meth:`edit` (including edits inside
-        :meth:`batch` scopes) is durably appended before it returns.
-        Journaled edits must address named handles with
-        JSON-representable values -- the handles are how replay finds the
-        cells in a restored session.  ``resume`` is the ``(last seq,
-        clean boundary)`` pair :func:`repro.persist.read_journal` returned
-        for ``path``, sparing the appender a second read of it.  Returns the
+        Every subsequent request -- an :meth:`edit` outside a scope, or
+        an outermost :meth:`batch` scope -- is one record, durably
+        appended before it is acknowledged, or undone whole.  Journaled
+        edits must address named handles with JSON-representable values
+        -- the handles are how :func:`repro.persist.load_session` finds
+        the cells.  ``resume`` is the ``(last seq, clean boundary)`` pair
+        :func:`repro.persist.read_journal` returned for ``path``, sparing
+        the appender a second read of it.  Returns the
         :class:`repro.persist.EditJournal`.
         """
         from repro.persist import EditJournal
@@ -815,41 +820,6 @@ class Session:
         if self._journal is not None:
             self._journal.close()
             self._journal = None
-
-    def replay_journal(self, path: str) -> int:
-        """Re-stage the edits recorded in a journal file; returns the
-        number of records applied.
-
-        Recovery = :meth:`restore` the last checkpoint, replay the
-        journal, then propagate (or let the next demand drain).  Records
-        the checkpoint already absorbed re-apply as no-ops (absolute values cut
-        off on equality), so an un-truncated journal is harmless.
-        Journaling is suspended during the replay itself.
-        """
-        from repro.persist import replay_journal
-
-        journal, self._journal = self._journal, None
-        try:
-            records = replay_journal(path)
-            for _seq, edits in records:
-                for handle, value in edits:
-                    self.engine.change(self.resolve(handle), value)
-        finally:
-            self._journal = journal
-        return len(records)
-
-    def _journal_name(self, mod: Union[str, Modifiable]) -> str:
-        if isinstance(mod, str):
-            return mod
-        name = self._handle_names.get(id(mod))
-        if name is None:
-            from repro.persist import JournalError
-
-            raise JournalError(
-                "journaled sessions must edit through named handles "
-                "(bind one with Session.handle) so recovery can replay"
-            )
-        return name
 
     # -- metering -------------------------------------------------------
 

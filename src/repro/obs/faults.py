@@ -596,7 +596,7 @@ def chaos_journal(
 
     from repro.api import Session, values_close
     from repro.apps import REGISTRY
-    from repro.persist import JournalCorruptError, replay_journal
+    from repro.persist import JournalCorruptError, read_journal
 
     if isinstance(app, str):
         app = REGISTRY[app]
@@ -630,7 +630,7 @@ def chaos_journal(
         session.disable_journal()
         oracle = app.readback(session.output)
         meter_oracle = session.engine.meter.snapshot()
-        intact = replay_journal(wal)
+        intact = read_journal(wal)[0]
         if len(intact) != edits:
             raise ChaosError(
                 f"journal-chaos {app.name}: intact journal holds "
@@ -646,14 +646,10 @@ def chaos_journal(
             restored = Session.restore(snap, app)
             bind(restored)
             try:
-                replayed = restored.replay_journal(damaged)
-                prefix = intact[:replayed]
+                prefix = read_journal(damaged)[0]
                 survived += 1
             except JournalCorruptError as exc:
-                prefix = list(exc.records)
-                for _seq, batch in prefix:
-                    for handle, value in batch:
-                        restored.edit(handle, value)
+                prefix = exc.records
                 detected += 1
             except Exception as exc:  # noqa: BLE001 - the failed promise
                 raise ChaosError(
@@ -667,9 +663,10 @@ def chaos_journal(
                     f"kind={kind}: surviving records are not a clean "
                     f"prefix of the acknowledged stream"
                 )
-            # Re-apply the lost suffix: the damage may only have cost us
-            # the tail, never changed a value the prefix carried.
-            for _seq, batch in intact[len(prefix) :]:
+            # Replay the prefix, then re-apply the lost suffix: the damage
+            # may only have cost us the tail, never changed a value the
+            # prefix carried.
+            for _seq, batch in prefix + intact[len(prefix) :]:
                 for handle, value in batch:
                     restored.edit(handle, value)
             settle(restored)

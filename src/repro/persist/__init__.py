@@ -6,9 +6,10 @@ Two layers, separable and composable:
   record a session's input data (not its trace), plus
   ``save_session``/``load_session``: a restore is a from-scratch run on
   the recorded inputs;
-* :mod:`repro.persist.journal` -- the fsync'd write-ahead edit journal
-  whose replay over a restored checkpoint makes acknowledged edits
-  survive ``SIGKILL``.
+* :mod:`repro.persist.journal` -- the fsync'd write-ahead edit journal,
+  one record per acknowledged request; ``load_session(path,
+  journal=read_journal(wal)[0])`` reopens a checkpoint with it, so
+  acknowledged edits survive ``SIGKILL``.
 
 The server's checkpointing (``SessionPool(checkpoint_dir=...)``) and the
 ``python -m repro snapshot`` CLI are thin drivers over these.
@@ -24,7 +25,7 @@ from repro.persist.errors import (
     SnapshotMismatchError,
     SnapshotStateError,
 )
-from repro.persist.journal import EditJournal, read_journal, replay_journal
+from repro.persist.journal import EditJournal, read_journal
 from repro.persist.snapshot import (
     FORMAT_VERSION,
     inspect_snapshot,
@@ -47,7 +48,6 @@ __all__ = [
     "JournalCorruptError",
     "EditJournal",
     "read_journal",
-    "replay_journal",
     "save_session",
     "load_session",
     "inspect_snapshot",

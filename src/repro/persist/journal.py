@@ -1,16 +1,18 @@
 """Write-ahead edit journal: fsync'd, CRC'd, replayable.
 
-One JSON record per line, each carrying its own CRC32::
+One JSON record per acknowledged request -- a single edit or a whole
+edit batch -- per line, each carrying its own CRC32::
 
     {"seq": 17, "edits": [["cell:3", 2.5], ["cell:9", 0.0]]}\\t<crc32 hex>\\n
 
-An edit is *durable* -- and may be acknowledged to a client -- once
-:meth:`EditJournal.append` returns: the record is written, flushed, and
-(by default) fsync'd first.  Recovery loads the last snapshot and replays
-the journal suffix; because records carry absolute cell values (not
-deltas), replaying records the snapshot already absorbed is a harmless
-no-op (the engine's equality cutoff drops them), so the
-checkpoint-then-truncate sequence needs no cross-file atomicity.
+A request is *durable* -- and may be acknowledged to a client -- once
+:meth:`EditJournal.commit` returns: the record is written, flushed, and
+(by default) fsync'd first.  Recovery is one reader: :func:`read_journal`
+parses the suffix and :func:`repro.persist.load_session` sets it in the
+last checkpoint's input cells before its one run.  Because records carry
+absolute cell values (not deltas), records the checkpoint already
+absorbed re-apply as no-ops, so the checkpoint-then-truncate sequence
+needs no cross-file atomicity.
 
 A torn final record is the normal signature of a crash mid-append and is
 dropped (with a log line when it parses as a complete line, since that
@@ -38,7 +40,7 @@ from typing import Any, List, Optional, Tuple
 
 from repro.persist.errors import JournalCorruptError, JournalError
 
-__all__ = ["EditJournal", "read_journal", "replay_journal"]
+__all__ = ["EditJournal", "read_journal"]
 
 log = logging.getLogger("repro.persist.journal")
 
@@ -162,30 +164,25 @@ class EditJournal:
         self.close()
 
 
-def replay_journal(path: str) -> List[Tuple[int, List[Tuple[str, Any]]]]:
-    """Parse a journal into ``[(seq, [(handle, value), ...]), ...]``.
-
-    Missing file -> empty.  A torn tail (trailing bytes with no
-    newline) -> dropped silently.  A complete final line that fails its
-    CRC is also dropped -- a torn multi-page write can persist the
-    trailing newline without the middle -- but logged, because it may
-    instead be corruption of an acknowledged record.  CRC or parse
-    failure *before* the tail -> :class:`JournalCorruptError` with the
-    clean prefix attached as ``exc.records``.
-    """
-    return read_journal(path)[0]
-
-
 def read_journal(
     path: str,
 ) -> Tuple[List[Tuple[int, List[Tuple[str, Any]]]], Tuple[int, int]]:
-    """:func:`replay_journal`, plus where an appender resumes the file.
+    """Parse a journal; return ``(records, resume)``.
 
-    Returns ``(records, resume)``: ``resume`` is ``(last seq, clean
-    boundary)``, the byte offset just past the last clean record.  Pass
-    it as ``EditJournal(path, resume=resume)`` to resume the journal
-    without reading it again.  A :class:`JournalCorruptError` carries
-    both, as ``exc.records`` and ``exc.resume``.
+    ``records`` is ``[(seq, [(handle, value), ...]), ...]``, what
+    :func:`repro.persist.load_session` takes as ``journal=``.  Missing
+    file -> no records.  A torn tail (trailing bytes with no newline) ->
+    dropped silently.  A complete final line that fails its CRC is also
+    dropped -- a torn multi-page write can persist the trailing newline
+    without the middle -- but logged, because it may instead be
+    corruption of an acknowledged record.  CRC or parse failure *before*
+    the tail -> :class:`JournalCorruptError`.
+
+    ``resume`` is ``(last seq, clean boundary)``, the byte offset just
+    past the last clean record.  Pass it as ``EditJournal(path,
+    resume=resume)`` to resume the journal without reading it again.  A
+    :class:`JournalCorruptError` carries both, as ``exc.records`` (the
+    clean prefix) and ``exc.resume``.
     """
     try:
         blob = _read(path)

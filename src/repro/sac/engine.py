@@ -1686,6 +1686,25 @@ class Engine:
         nothing dirty, i.e. every read consistent with every input."""
         self._edit_log = []
 
+    def undo_edits(self, mark: int, what: str) -> None:
+        """Undo, newest first, the input edits staged since the edit log
+        held ``mark`` entries (no propagation or demand may run between).
+
+        If an undo raises, the old values go straight back into the cells
+        and the engine is poisoned, naming ``what``: the trace may have
+        seen a refused value, so only a rebuild, which reads the cells,
+        serves from here.  Never raises: the refusal stays the error."""
+        undo = self._edit_log[mark:][::-1]
+        try:
+            for mod, old in undo:
+                self.change(mod, old)
+        except Exception as exc:
+            for mod, old in undo:
+                mod.value = old
+            self.poison(f"undoing {what} raised {exc!r}")
+        finally:
+            del self._edit_log[mark:]
+
     # ------------------------------------------------------------------
     # Table inspection
 

@@ -61,6 +61,7 @@ from typing import Any, Dict, List, NoReturn, Optional, Sequence, Tuple
 from repro.api import Session
 from repro.persist import (
     JournalCorruptError,
+    JournalError,
     PersistError,
     SnapshotMismatchError,
 )
@@ -393,12 +394,17 @@ class SessionPool:
                         "document %r: %s; opening on the given data", name, exc
                     )
                 except (PersistError, OSError) as exc:
+                    lost = (
+                        f"journal {wal} does not extend checkpoint {snap}"
+                        if isinstance(exc, JournalError)
+                        else f"checkpoint {snap} cannot be read, so its "
+                        f"recorded inputs are lost"
+                    )
                     raise DocError(
                         name,
-                        f"checkpoint {snap} cannot be read, so its recorded "
-                        f"inputs are lost ({type(exc).__name__}: {exc}); "
-                        f"refusing an open that would drop acknowledged "
-                        f"edits (checkpoint files left in place)",
+                        f"{lost} ({type(exc).__name__}: {exc}); refusing an "
+                        f"open that would drop acknowledged edits "
+                        f"(checkpoint files left in place)",
                     ) from exc
         if doc is None:
             session = Session(app, mode=doc_mode, backend=doc_backend)
@@ -724,7 +730,8 @@ class SessionPool:
         return {"doc": name, "dirtied": dirtied}
 
     async def batch(self, name: str, edits: Sequence[Sequence[Any]]) -> dict:
-        """Stage many ``(cell, value)`` edits; one coalesced drain."""
+        """Stage many ``(cell, value)`` edits; one coalesced drain and,
+        with checkpointing, one journal record, all or nothing."""
         doc = self._doc(name)
         doc.check_usable()
         edits = self._typed_edits(doc, edits)

@@ -38,8 +38,8 @@ from repro.persist import (
     FORMAT_VERSION,
     inspect_snapshot,
     read_header,
+    load_session,
     read_journal,
-    replay_journal,
 )
 
 BACKENDS = ["interp", "stack"]
@@ -303,14 +303,14 @@ def test_journal_append_replay_round_trip(tmp_path):
     with EditJournal(path) as journal:
         assert journal.append([("cell:0", 1.5)]) == 1
         assert journal.append([("cell:1", None), ("cell:2", [1, 2])]) == 2
-    assert replay_journal(path) == [
+    assert read_journal(path)[0] == [
         (1, [("cell:0", 1.5)]),
         (2, [("cell:1", None), ("cell:2", [1, 2])]),
     ]
     # Reopening resumes the sequence (no seq reuse after restart).
     with EditJournal(path) as journal:
         assert journal.append([("cell:0", 2.0)]) == 3
-    assert len(replay_journal(path)) == 3
+    assert len(read_journal(path)[0]) == 3
 
 
 def test_journal_torn_tail_dropped_and_prefix_kept(tmp_path):
@@ -325,7 +325,7 @@ def test_journal_torn_tail_dropped_and_prefix_kept(tmp_path):
     record_len = len(blob) // 5
     for cut in (1, 7, record_len + 3):
         open(path, "wb").write(blob[: len(blob) - cut])
-        records = replay_journal(path)
+        records = read_journal(path)[0]
         assert 3 <= len(records) <= 4
         assert [s for s, _ in records] == list(range(1, len(records) + 1))
 
@@ -336,12 +336,12 @@ def test_journal_torn_tail_dropped_and_prefix_kept(tmp_path):
     lines[1] = bad[:10] + bytes([bad[10] ^ 1]) + bad[11:]
     open(path, "wb").write(b"".join(lines))
     with pytest.raises(JournalCorruptError) as exc_info:
-        replay_journal(path)
+        read_journal(path)[0]
     assert [s for s, _ in exc_info.value.records] == [1]
 
 
 def test_journal_missing_file_and_bad_values(tmp_path):
-    assert replay_journal(str(tmp_path / "absent.wal")) == []
+    assert read_journal(str(tmp_path / "absent.wal"))[0] == []
     with EditJournal(str(tmp_path / "v.wal")) as journal:
         with pytest.raises(JournalError):
             journal.append([("cell:0", object())])
@@ -350,6 +350,9 @@ def test_journal_missing_file_and_bad_values(tmp_path):
 
 
 def test_session_journals_edits_and_replay_is_idempotent(tmp_path):
+    """One record per request: an edit, then a two-edit batch, append two
+    records.  Reopening a checkpoint that already absorbed them with the
+    journal changes nothing: records carry absolute values."""
     wal = str(tmp_path / "s.wal")
     session, app, _rng = _run_session(SCALAR_APP, 8, 0, "interp", "eager")
     cells = _bind_cells(session)
@@ -359,7 +362,11 @@ def test_session_journals_edits_and_replay_is_idempotent(tmp_path):
         session.edit("cell:1", 1.0)
         session.edit("cell:2", 2.0)
     session.propagate()
-    assert len(replay_journal(wal)) == 3
+    records = read_journal(wal)[0]
+    assert records == [
+        (1, [("cell:0", 4.25)]),
+        (2, [("cell:1", 1.0), ("cell:2", 2.0)]),
+    ]
 
     # Unnamed modifiables cannot be journaled (recovery could not
     # address them), and the edit is refused before it stages.
@@ -367,12 +374,12 @@ def test_session_journals_edits_and_replay_is_idempotent(tmp_path):
     with pytest.raises(JournalError):
         session.edit(fresh, 1.0)
 
-    # Replay over the already-final state: absolute values cut off.
-    before = app.readback(session.output)
-    dirtied = session.replay_journal(wal)
-    assert dirtied == 3
-    session.propagate()
-    assert app.readback(session.output) == before
+    snap = str(tmp_path / "s.snap")
+    session.snapshot(snap)
+    reopened = load_session(snap, journal=records)
+    data = app.handle_data(session.input_handle)
+    assert app.handle_data(reopened.input_handle) == data
+    assert app.readback(reopened.output) == app.readback(session.output)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -396,8 +403,9 @@ def test_crash_recovery_loses_no_acknowledged_edit(tmp_path, mode):
     live_out = app.readback(session.output)
     del session  # the "crash": nothing of the live process survives
 
-    recovered = Session.restore(snap, SCALAR_APP)
-    assert recovered.replay_journal(wal) == 7
+    records = read_journal(wal)[0]
+    assert len(records) == 7
+    recovered = load_session(snap, SCALAR_APP, journal=records)
     _settle(recovered)
     assert values_close(app.readback(recovered.output), live_out)
     for cell, value in acked.items():
@@ -411,8 +419,6 @@ def test_load_session_applies_a_journal_suffix_before_its_one_run(tmp_path):
     the session equals a fresh run on the edited inputs, meters included.
     A suffix naming a handle the checkpoint lacks does not extend it and
     is refused before anything runs."""
-    from repro.persist import load_session
-
     snap = str(tmp_path / "j.snap")
     session, app, _rng = _run_session(SCALAR_APP, 6, 1, "stack", "eager")
     _bind_cells(session)
@@ -438,7 +444,7 @@ def test_journal_fsync_off_still_replays(tmp_path):
     wal = str(tmp_path / "nf.wal")
     with EditJournal(wal, fsync=False) as journal:
         journal.append([("cell:0", 1.0)])
-    assert len(replay_journal(wal)) == 1
+    assert len(read_journal(wal)[0]) == 1
 
 
 def test_journal_reset_after_checkpoint(tmp_path):
@@ -446,7 +452,7 @@ def test_journal_reset_after_checkpoint(tmp_path):
     with EditJournal(wal) as journal:
         journal.append([("cell:0", 1.0)])
         journal.reset()
-        assert replay_journal(wal) == []
+        assert read_journal(wal)[0] == []
         assert journal.append([("cell:1", 2.0)]) == 1
 
 
@@ -466,7 +472,7 @@ def test_journal_resume_truncates_torn_tail(tmp_path):
         assert journal.seq == 2  # the torn record was never durable
         assert journal.append([("cell:7", 7.0)]) == 3
         assert journal.append([("cell:8", 8.0)]) == 4
-    records = replay_journal(path)  # must not raise JournalCorruptError
+    records = read_journal(path)[0]  # must not raise JournalCorruptError
     assert [s for s, _ in records] == [1, 2, 3, 4]
     assert records[-1] == (4, [("cell:8", 8.0)])
 
@@ -487,7 +493,7 @@ def test_journal_resume_truncates_corrupt_tail_line(tmp_path):
     with EditJournal(path) as journal:
         assert journal.seq == 2
         assert journal.append([("cell:9", 9.0)]) == 3
-    assert [s for s, _ in replay_journal(path)] == [1, 2, 3]
+    assert [s for s, _ in read_journal(path)[0]] == [1, 2, 3]
 
 
 def test_journal_resumes_from_a_replay_without_rereading(tmp_path, monkeypatch):
@@ -515,7 +521,7 @@ def test_journal_resumes_from_a_replay_without_rereading(tmp_path, monkeypatch):
     with EditJournal(path, resume=resume) as journal:
         assert journal.append([("cell:7", 7.0)]) == 3
     monkeypatch.undo()
-    assert [s for s, _ in replay_journal(path)] == [1, 2, 3]
+    assert [s for s, _ in read_journal(path)[0]] == [1, 2, 3]
 
     # Corrupt prefix: the error carries the clean prefix and its boundary.
     bad = lines[1]
@@ -529,7 +535,7 @@ def test_journal_resumes_from_a_replay_without_rereading(tmp_path, monkeypatch):
     with EditJournal(path, resume=exc_info.value.resume) as journal:
         assert journal.append([("cell:8", 8.0)]) == 2
     monkeypatch.undo()
-    assert replay_journal(path) == [(1, [("cell:0", 0.0)]), (2, [("cell:8", 8.0)])]
+    assert read_journal(path)[0] == [(1, [("cell:0", 0.0)]), (2, [("cell:8", 8.0)])]
     assert read_journal(str(tmp_path / "absent.wal")) == ([], (0, 0))
 
 
@@ -547,7 +553,7 @@ def test_journal_corrupt_final_line_dropped_but_logged(tmp_path, caplog):
     open(path, "wb").write(b"".join(lines))
 
     with caplog.at_level(logging.WARNING, logger="repro.persist.journal"):
-        records = replay_journal(path)
+        records = read_journal(path)[0]
     assert [s for s, _ in records] == [1, 2]
     assert any("failed its CRC" in r.message for r in caplog.records)
 
@@ -572,7 +578,7 @@ def test_session_edit_rolls_back_when_journal_write_fails(tmp_path):
     del journal.commit  # back to the real method
 
     assert session.get("cell:1") == before
-    assert len(replay_journal(wal)) == 1  # only the acknowledged edit
+    assert len(read_journal(wal)[0]) == 1  # only the acknowledged edit
     session.propagate()
     expected = app.reference(app.handle_data(session.input_handle))
     assert values_close(app.readback(session.output), expected)
@@ -601,7 +607,7 @@ def test_refused_journaled_edit_is_undone_when_it_dirtied_nothing(tmp_path):
 
     assert session.resolve("cell:1").value == 10.0
     assert not session.engine.poisoned
-    assert replay_journal(wal) == [(1, [("cell:1", 10.0)])]
+    assert read_journal(wal)[0] == [(1, [("cell:1", 10.0)])]
     session.demand()
     assert values_close(app.readback(session.output), 18.0)
 
@@ -652,7 +658,7 @@ def test_journaled_edit_whose_staging_raises_is_undone(tmp_path):
     with pytest.raises(PlantedFault):
         session.edit("cell:2", 50.0)
     assert session.input_handle.mods[2].value == 3.0
-    assert replay_journal(str(tmp_path / "stage.wal")) == []
+    assert read_journal(str(tmp_path / "stage.wal"))[0] == []
     assert values_close(app.readback(session.rebuild()), 10.0)
 
 
@@ -689,9 +695,65 @@ def test_failed_undo_of_refused_journaled_edit_keeps_the_old_value(
     assert values_close(app.readback(session.rebuild()), expected)
     _bind_cells(session)
     assert session.get("cell:3") == 4.0
-    assert replay_journal(str(tmp_path / "undo.wal")) == [
+    assert read_journal(str(tmp_path / "undo.wal"))[0] == [
         (1, [("cell:1", 10.0)])
     ]
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("refusal", ["commit", "non-json", "body", "same-cell"])
+def test_refused_journaled_batch_is_all_or_nothing(
+    tmp_path, backend, mode, refusal
+):
+    """A journaled batch is one record: when its commit fails, one of its
+    values cannot be journaled, or its body raises, every edit it staged
+    is undone (newest first, so a cell edited twice gets its pre-batch
+    value) and nothing of it reaches the journal.  The next batch
+    appends exactly one record."""
+    app = REGISTRY[SCALAR_APP]
+    data = [1.0, 2.0, 3.0, 4.0]
+    session = Session(app, backend=backend, mode=mode)
+    session.run(data=list(data))
+    _bind_cells(session)
+    wal = str(tmp_path / "batch.wal")
+    journal = session.enable_journal(wal)
+    session.edit("cell:3", 40.0)  # acknowledged before the batch
+    data[3] = 40.0
+    real_commit = journal.commit
+
+    def commit_fails_on_cell_1(record):
+        if b'"cell:1"' in record:
+            raise OSError("disk full")
+        return real_commit(record)
+
+    journal.commit = commit_fails_on_cell_1
+    with pytest.raises((OSError, JournalError, RuntimeError)):
+        with session.batch():
+            session.edit("cell:0", 10.0)
+            if refusal == "same-cell":
+                session.edit("cell:0", 11.0)
+            if refusal == "non-json":
+                session.edit("cell:1", object())
+            elif refusal == "body":
+                raise RuntimeError("the client went away")
+            else:
+                session.edit("cell:1", 20.0)
+    del journal.commit
+
+    assert not session.engine.poisoned
+    assert [mod.value for mod in session.input_handle.mods] == data
+    _settle(session)
+    assert values_close(app.readback(session.output), app.reference(data))
+    assert read_journal(wal)[0] == [(1, [("cell:3", 40.0)])]
+
+    with session.batch():
+        session.edit("cell:0", 5.0)
+        session.edit("cell:2", 6.0)
+    data[0], data[2] = 5.0, 6.0
+    assert read_journal(wal)[0][1:] == [(2, [("cell:0", 5.0), ("cell:2", 6.0)])]
+    _settle(session)
+    assert values_close(app.readback(session.output), app.reference(data))
 
 
 # ----------------------------------------------------------------------

@@ -21,10 +21,11 @@ from repro.apps import REGISTRY
 from repro.obs.faults import FaultInjector, PlantedFault
 from repro.obs.invariants import check_trace
 from repro.persist import (
+    EditJournal,
     SnapshotMismatchError,
     read_header,
     read_snapshot,
-    replay_journal,
+    read_journal,
 )
 from repro.persist.snapshot import MAGIC, write_snapshot
 from repro.server import (
@@ -701,6 +702,97 @@ def test_pool_failed_undo_of_refused_edit_rebuilds_without_it(tmp_path):
     asyncio.run(main())
 
 
+def _commit_failing_on(journal, cell):
+    """Make ``journal`` refuse every record that edits ``cell``."""
+    real_commit = journal.commit
+
+    def commit(record):
+        if f'"{cell}"'.encode() in record:
+            raise OSError("disk full")
+        return real_commit(record)
+
+    journal.commit = commit
+
+
+@pytest.mark.parametrize("mode", ["eager", "lazy"])
+def test_pool_refused_batch_is_all_or_nothing(tmp_path, mode):
+    """A batch frame is one journal record: when its commit fails, the
+    client is told the batch failed and none of it is served, journaled
+    or read back by a reopen."""
+
+    async def main():
+        pool = SessionPool(mode=mode, checkpoint_dir=str(tmp_path))
+        pool.open("doc", app="vec-reduce", data=[1.0, 2.0, 3.0, 4.0])
+        journal = pool.docs["doc"].journal
+        _commit_failing_on(journal, "cell:1")
+        with pytest.raises(OSError):
+            await pool.batch("doc", [["cell:0", 10.0], ["cell:1", 20.0]])
+        del journal.commit
+        assert (await pool.get("doc", "cell:0"))["value"] == 1.0
+        assert values_close((await pool.demand("doc"))["value"], 10.0)
+        _snap, wal = pool._doc_paths("doc")
+        assert read_journal(wal)[0] == []
+        # No stop(): the reopen reads the checkpoint plus the journal.
+
+        reborn = SessionPool(mode=mode, checkpoint_dir=str(tmp_path))
+        info = reborn.open("doc", app="vec-reduce")
+        assert (info["recovered"], info["replayed"]) == (True, 0)
+        assert values_close(info["value"], 10.0)
+        assert (await reborn.get("doc", "cell:0"))["value"] == 1.0
+        await reborn.batch("doc", [["cell:0", 5.0], ["cell:2", 6.0]])
+        assert read_journal(wal)[0] == [(1, [("cell:0", 5.0), ("cell:2", 6.0)])]
+        assert values_close((await reborn.demand("doc"))["value"], 17.0)
+        await reborn.stop()
+
+    asyncio.run(main())
+
+
+@pytest.mark.parametrize("mode", ["eager", "lazy"])
+def test_pool_failed_undo_of_refused_batch_rebuilds_without_it(tmp_path, mode):
+    """If undoing a refused batch raises at its first undo, the rest of
+    its cells still get their old values back and the engine is
+    poisoned, so the next read rebuilds the document without the batch:
+    only acknowledged edits are served and read back by a reopen."""
+
+    async def main():
+        pool = SessionPool(mode=mode, checkpoint_dir=str(tmp_path))
+        pool.open("doc", app="vec-reduce", data=[1.0, 2.0, 3.0, 4.0])
+        await pool.edit("doc", "cell:1", 10.0)
+        doc = pool.docs["doc"]
+        engine = doc.session.engine
+        real_change = engine.change
+        calls = []
+
+        def change_then_fail_undo(mod, value):
+            calls.append(value)
+            if len(calls) > 2:
+                raise RuntimeError("undo failed")
+            return real_change(mod, value)
+
+        engine.change = change_then_fail_undo
+        _commit_failing_on(doc.journal, "cell:0")
+        with pytest.raises(OSError):
+            await pool.batch("doc", [["cell:3", 40.0], ["cell:0", 5.0]])
+        assert engine.poisoned
+        del doc.journal.commit
+        assert values_close((await pool.demand("doc"))["value"], 18.0)
+        assert doc.session.engine is not engine
+        stats = pool.stats("doc")
+        assert (stats["rebuilds"], stats["failed"]) == (1, False)
+        for cell, value in (("cell:0", 1.0), ("cell:1", 10.0), ("cell:3", 4.0)):
+            assert (await pool.get("doc", cell))["value"] == value
+        await pool.stop()
+
+        reborn = SessionPool(mode=mode, checkpoint_dir=str(tmp_path))
+        info = reborn.open("doc", app="vec-reduce")
+        assert info["recovered"] is True
+        assert values_close(info["value"], 18.0)
+        assert (await reborn.get("doc", "cell:3"))["value"] == 4.0
+        await reborn.stop()
+
+    asyncio.run(main())
+
+
 def test_pool_corrupt_checkpoint_refuses_open(tmp_path):
     """A checkpoint is the only copy of the inputs it recorded, so a
     corrupted one refuses the open with a DocError: no silent revert to
@@ -958,7 +1050,7 @@ def test_pool_reopen_runs_once_on_replayed_inputs(tmp_path, mode, backend):
     assert reborn.checkpoints == 0
     assert open(snap, "rb").read() == blob
     assert reborn.docs["doc"].ops_since_checkpoint == len(edits)
-    assert len(replay_journal(wal)) == len(edits)
+    assert len(read_journal(wal)[0]) == len(edits)
 
 
 @pytest.mark.parametrize("backend", ["interp", "stack"])
@@ -1017,7 +1109,7 @@ def test_pool_crash_cycles_keep_the_journal_bounded(tmp_path, mode, backend):
     checkpoints = 0
     for _ in range(6):
         info, wal = asyncio.run(cycle())
-        journaled = sum(len(edits) for _s, edits in replay_journal(wal))
+        journaled = sum(len(edits) for _s, edits in read_journal(wal)[0])
         assert info["replayed"] < every + size
         assert journaled < every + size
         checkpoints += journaled < info["replayed"] + size
@@ -1062,7 +1154,7 @@ def test_pool_rebuild_rung_keeps_every_journaled_edit(tmp_path, mode, backend):
         got = await pool.demand("doc")
         assert values_close(got["value"], _expected(pool, "doc"))
         _snap, wal = pool._doc_paths("doc")
-        assert replay_journal(wal) == [(1, [("cell:6", -1.5)])]
+        assert read_journal(wal)[0] == [(1, [("cell:6", -1.5)])]
         await pool.stop()
 
         reborn = SessionPool(mode=mode, checkpoint_dir=str(tmp_path))
@@ -1156,11 +1248,36 @@ def test_pool_open_on_another_apps_checkpoint_drops_its_journal(tmp_path, app):
         assert (info["recovered"], info["replayed"]) == (False, 0)
         assert reborn.snapshot_failures == 1
         assert values_close(info["value"], _expected(reborn, "doc"))
-        assert replay_journal(wal) == []
+        assert read_journal(wal)[0] == []
         assert read_header(snap)["content"]["app"] == app
         await reborn.stop()
 
     asyncio.run(main())
+
+
+def test_pool_refuses_open_when_its_journal_does_not_extend_the_checkpoint(
+    tmp_path,
+):
+    """A journal edit naming a handle the checkpoint does not bind cannot
+    be replayed, so the open is refused with a DocError that names the
+    journal (the checkpoint's inputs are intact), and both files stay as
+    they were."""
+    snap, wal = _crashed_pool(
+        tmp_path, "lazy", None, [("cell:1", 2.5)], checkpoint_every=10_000
+    )
+    with EditJournal(wal) as journal:
+        journal.append([("cell:99", 1.0)])
+    files = (open(snap, "rb").read(), open(wal, "rb").read())
+
+    reborn = SessionPool(mode="lazy", checkpoint_dir=str(tmp_path))
+    with pytest.raises(DocError) as exc_info:
+        reborn.open("doc", app="vec-reduce")
+    assert f"journal {wal} does not extend checkpoint {snap}" in str(
+        exc_info.value
+    )
+    assert "recorded inputs are lost" not in str(exc_info.value)
+    assert "doc" not in reborn.docs
+    assert (open(snap, "rb").read(), open(wal, "rb").read()) == files
 
 
 def test_pool_quota_rejects_before_staging_and_clears_on_drain(tmp_path):
